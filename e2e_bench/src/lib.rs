@@ -132,13 +132,16 @@ impl Config {
         })
     }
 
-    /// How many times set-up is repeated; `setup_s` is the median.
+    /// Set-up is repeated at least this many times and for at least this
+    /// many seconds; `setup_s` is the median. Three seconds of set-ups
+    /// span more than one of a shared host's slow or fast spells, which
+    /// last one to a few seconds.
     #[must_use]
-    pub fn setup_reps(&self) -> usize {
+    pub fn setup_budget(&self) -> (usize, f64) {
         if self.quick {
-            1
+            (1, 0.0)
         } else {
-            11
+            (11, 3.0)
         }
     }
 }

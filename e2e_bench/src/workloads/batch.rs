@@ -4,7 +4,7 @@
 
 use super::{finish_trace, repeat_setup, trace_network, APPROX_MULT, MODEL_SEED};
 use crate::trace::TracedModel;
-use crate::util::{latency_summary, median, same_bits, secs, timed};
+use crate::util::{latency_summary, median, rate, same_bits, secs, timed, RATE_QUANTILE};
 use crate::{BoxError, Config, Outcome};
 use axnn::dataset::SyntheticCifar10;
 use axnn::resnet::ResNetConfig;
@@ -91,12 +91,13 @@ pub fn run(cfg: &Config, out: &mut Outcome) -> Result<(), BoxError> {
         });
 
     let r = &mut out.report;
-    r.set("items_per_s", batch as f64 / median(&approx_s));
-    r.set("accurate_images_per_s", batch as f64 / median(&accurate_s));
+    r.set("items_per_s", rate(batch as f64, &approx_s));
+    r.set("accurate_images_per_s", rate(batch as f64, &accurate_s));
     out.note(format!(
-        "approx_images_per_s = {:.3} 1/s from the median call of {batch} images ({} arm, {} \
+        "approx_images_per_s = {:.3} 1/s from the p{:.0} call of {batch} images ({} arm, {} \
          threads); call latency: {}",
-        batch as f64 / median(&approx_s),
+        rate(batch as f64, &approx_s),
+        RATE_QUANTILE * 100.0,
         session.kernel(),
         session.context().pool().threads(),
         latency_summary(&approx_s),

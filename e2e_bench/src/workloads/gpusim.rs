@@ -7,7 +7,9 @@
 //! exactly; from then on every call must repeat them.
 
 use super::{finish_trace, repeat_setup, APPROX_MULT, MODEL_SEED};
-use crate::util::{digest, latency_summary, median, secs, timed};
+use crate::util::{
+    digest, latency_summary, median, quantile, rate, same_bits, secs, timed, RATE_QUANTILE,
+};
 use crate::{BoxError, Config, Outcome};
 use axnn::dataset::SyntheticCifar10;
 use axnn::resnet::ResNetConfig;
@@ -20,6 +22,10 @@ use tfapprox::{Backend, Session};
 const IMAGES: usize = 2;
 /// Most calls discarded while the modeled cache settles.
 const MAX_WARMUP: usize = 10;
+/// Accurate f32 passes after each simulated call. The first pass after a
+/// call meets caches the simulator has evicted; with several passes per
+/// call the rate quantile measures warm passes.
+const ACCURATE_REPS: usize = 8;
 
 /// What one simulated call produced: output digest, modeled seconds and
 /// the call's own modeled events (`infer_batches` resets the context's
@@ -78,7 +84,7 @@ pub fn run(cfg: &Config, out: &mut Outcome) -> Result<(), BoxError> {
         prev = now;
     }
     let steady = prev;
-    graph.forward(&x)?;
+    let accurate_ref = graph.forward(&x)?;
 
     let mut host_s = Vec::new();
     let mut accurate_s = Vec::new();
@@ -92,9 +98,16 @@ pub fn run(cfg: &Config, out: &mut Outcome) -> Result<(), BoxError> {
             )
         });
         host_s.push(dt);
-        let (y, dt) = timed(|| graph.forward(&x));
-        y?;
-        accurate_s.push(dt);
+        for _ in 0..ACCURATE_REPS {
+            let (y, dt) = timed(|| graph.forward(&x));
+            accurate_s.push(dt);
+            out.report.check(same_bits(&y?, &accurate_ref), || {
+                format!(
+                    "accurate output after call {} differs from the first pass",
+                    host_s.len()
+                )
+            });
+        }
     }
     out.report.attempted = (host_s.len() * images) as u64;
     out.note(format!(
@@ -103,7 +116,7 @@ pub fn run(cfg: &Config, out: &mut Outcome) -> Result<(), BoxError> {
         steady.output ^ steady.tcomp_bits.rotate_left(17) ^ steady.events.tex_hits.rotate_left(31)
     ));
 
-    let host = median(&host_s);
+    let host = quantile(&host_s, RATE_QUANTILE);
     if cfg.trace {
         let ev = steady.events;
         let per_image = |v: f64| v / images as f64;
@@ -124,11 +137,12 @@ pub fn run(cfg: &Config, out: &mut Outcome) -> Result<(), BoxError> {
         );
         out.note(format!(
             "gpusim: per call of {images} images: modeled tcomp {:.6} s (modeled, not measured), \
-             {} texture fetches, {} hits; host {:.3} s",
+             {} texture fetches, {} hits; host {:.3} s (p{:.0} call)",
             f64::from_bits(steady.tcomp_bits),
             ev.tex_fetches(),
             ev.tex_hits,
-            host
+            host,
+            RATE_QUANTILE * 100.0,
         ));
         // The simulator runs on the calling thread and no host LUT-GEMM arm.
         finish_trace(cfg, out, "none", 1, None);
@@ -136,11 +150,12 @@ pub fn run(cfg: &Config, out: &mut Outcome) -> Result<(), BoxError> {
     }
     let r = &mut out.report;
     r.set("items_per_s", images as f64 / host);
-    r.set("accurate_images_per_s", images as f64 / median(&accurate_s));
+    r.set("accurate_images_per_s", rate(images as f64, &accurate_s));
     out.note(format!(
-        "gpusim_host_images_per_s = {:.4} 1/s from the median call of {images} images; call \
+        "gpusim_host_images_per_s = {:.4} 1/s from the p{:.0} call of {images} images; call \
          latency: {}",
         images as f64 / host,
+        RATE_QUANTILE * 100.0,
         latency_summary(&host_s),
     ));
     Ok(())

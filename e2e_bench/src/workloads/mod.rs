@@ -18,16 +18,18 @@ pub const MODEL_SEED: u64 = 42;
 /// The approximate multiplier of the single-multiplier workloads.
 pub const APPROX_MULT: &str = "mul8s_bam_v8h0";
 
-/// Run `setup` `cfg.setup_reps()` times; keep the last result and record
-/// the median wall time as `setup_s`.
+/// Run `setup` as often as `cfg.setup_budget()` asks; keep the last
+/// result and record the median wall time as `setup_s`.
 pub fn repeat_setup<T>(
     cfg: &Config,
     out: &mut Outcome,
     mut setup: impl FnMut() -> Result<T, BoxError>,
 ) -> Result<T, BoxError> {
+    let (min_reps, min_seconds) = cfg.setup_budget();
     let mut times = Vec::new();
     let mut last = None;
-    for _ in 0..cfg.setup_reps() {
+    let start = Instant::now();
+    while times.len() < min_reps || secs(start) < min_seconds {
         let (built, dt) = timed(&mut setup);
         last = Some(built?);
         times.push(dt);

@@ -6,7 +6,9 @@
 
 use super::{finish_trace, repeat_setup, trace_network, MODEL_SEED};
 use crate::trace::TracedModel;
-use crate::util::{digest, latency_summary, median, same_bits, secs, timed};
+use crate::util::{
+    digest, latency_summary, median, quantile, rate, same_bits, secs, timed, RATE_QUANTILE,
+};
 use crate::{BoxError, Config, Outcome};
 use axmult::{AxMultiplier, Signedness};
 use axnn::dataset::SyntheticCifar10;
@@ -179,22 +181,32 @@ pub fn run(cfg: &Config, out: &mut Outcome) -> Result<(), BoxError> {
         .flatten()
         .flat_map(|t| t.reassign.iter().zip(&t.infer).map(|(r, i)| r + i))
         .collect();
-    let round_rate: Vec<f64> = rounds
-        .iter()
-        .map(|r| (ACCUMULATORS.len() * mults.len()) as f64 / r.iter().map(|t| t.wall).sum::<f64>())
-        .collect();
+    // A round's time: each design point at its rate quantile over the
+    // rounds, summed. Points differ in cost, so they are not pooled.
+    let round_s: f64 = (0..ACCUMULATORS.len())
+        .flat_map(|k| (0..mults.len()).map(move |p| (k, p)))
+        .map(|(k, p)| {
+            let point: Vec<f64> = rounds
+                .iter()
+                .map(|round| round[k].reassign[p] + round[k].infer[p])
+                .collect();
+            quantile(&point, RATE_QUANTILE)
+        })
+        .sum();
+    let points_per_s = (ACCUMULATORS.len() * mults.len()) as f64 / round_s;
     if cfg.trace {
         return trace(
             cfg, out, &graph, &bases[0], &x, &rounds, &netlist_s, &compile_s,
         );
     }
     let r = &mut out.report;
-    r.set("items_per_s", median(&round_rate));
-    r.set("accurate_images_per_s", images as f64 / median(&accurate_s));
+    r.set("items_per_s", points_per_s);
+    r.set("accurate_images_per_s", rate(images as f64, &accurate_s));
     out.note(format!(
-        "sweep_points_per_s = {:.3} 1/s from the median of {} rounds of {} multipliers x {} \
-         accumulators, {images} images per point; point latency (reassign + infer): {}",
-        median(&round_rate),
+        "sweep_points_per_s = {points_per_s:.3} 1/s from each point's p{:.0} over {} rounds of {} \
+         multipliers x {} accumulators, {images} images per point; point latency (reassign + \
+         infer): {}",
+        RATE_QUANTILE * 100.0,
         rounds.len(),
         mults.len(),
         ACCUMULATORS.len(),
