@@ -86,14 +86,14 @@ impl fmt::Display for Signedness {
 ///
 /// Two layouts serve the two vector LUT-GEMM mechanisms:
 ///
-/// - **Nibble sub-table planes** for byte-shuffle kernels. The 16-bit
-///   products are split into a low-byte plane and a high-byte plane, both
-///   indexed by the stitched `(b << 8) | a` index. Within a plane, the
-///   512-byte row of a fixed filter byte `b` decomposes into **16
-///   sub-tables of 16 bytes**, one per high nibble of the activation byte
-///   `a` — exactly the shape a 16-lane byte shuffle (`pshufb` /
-///   `vqtbl4q_u8`) can gather from: the low nibble selects the lane, the
-///   high nibble selects the sub-table.
+/// - **Byte planes** for byte-permute kernels. The 16-bit products are
+///   split into a low-byte plane and a high-byte plane, both indexed by
+///   the stitched `(b << 8) | a` index. Within a plane, the row of a
+///   fixed filter byte `b` is 256 contiguous bytes — **four 64-byte
+///   quarters**, exactly what two 128-byte two-register byte permutes
+///   (AVX-512 VBMI `vpermi2b`) look up: bits 0–5 of the activation byte
+///   `a` select the byte, bit 6 the quarter within a pair, and bit 7
+///   the pair.
 /// - **A gather-padded row table** for element-gather kernels. The raw
 ///   `u16` entries plus **one trailing zero entry**, so a 32-bit gather of
 ///   the 2-byte entry at row offset 255 (which reads 2 bytes past the

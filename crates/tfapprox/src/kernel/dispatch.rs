@@ -10,9 +10,10 @@
 //!    front if the CPU cannot run it.
 //! 2. The `TFAPPROX_KERNEL` environment variable (a [`KernelKind`] name;
 //!    `auto`, unknown names, and unsupported kernels fall through).
-//! 3. Runtime calibration: on an AVX2-capable x86-64 host the two SIMD
-//!    arms race on a synthetic panel and the faster one wins; elsewhere
-//!    the scalar walker is the only arm.
+//! 3. Runtime calibration: on an AVX2-capable x86-64 host the SIMD arms
+//!    it can run (`avx2-gather`, plus `avx512-vbmi` where AVX-512
+//!    F/BW/VBMI is present) race on a synthetic panel and the fastest
+//!    one wins; elsewhere the scalar walker is the only arm.
 //!
 //! Every arm is bit-identical for the models it handles, so whichever
 //! kernel the machinery lands on **cannot change results** — only time.
@@ -37,13 +38,14 @@ pub enum KernelKind {
     /// The portable tiled scalar walker (PR 4) — always available, and
     /// the only arm for order-sensitive accumulator models.
     ScalarTiled,
-    /// AVX2 `pshufb` nibble sub-table kernel: 32 byte-plane products per
-    /// shuffle, reassembled from the [`axmult::SimdTables`] lo/hi planes.
-    Avx2Nibble,
     /// AVX2 `vpgatherdd` row-gather kernel: 16 products per step fetched
     /// straight from the hoisted 512-byte LUT row — the CPU analogue of
     /// the paper's `tex1Dfetch<ushort>` texture path.
     Avx2Gather,
+    /// AVX-512 VBMI register-table kernel: 64 byte-plane products per
+    /// two `vpermi2b` and a blend, looked up in the [`axmult::SimdTables`]
+    /// lo/hi planes of the active LUT row held in zmm registers.
+    Avx512Vbmi,
 }
 
 impl KernelKind {
@@ -54,20 +56,20 @@ impl KernelKind {
     pub fn name(self) -> &'static str {
         match self {
             KernelKind::ScalarTiled => "scalar-tiled",
-            KernelKind::Avx2Nibble => "avx2-nibble",
             KernelKind::Avx2Gather => "avx2-gather",
+            KernelKind::Avx512Vbmi => "avx512-vbmi",
         }
     }
 
     /// Parse a kernel name (the [`KernelKind::name`] form, plus short
-    /// aliases `scalar`, `nibble`, `gather`). Returns `None` for unknown
+    /// aliases `scalar`, `gather`, `vbmi`). Returns `None` for unknown
     /// names — including `auto`, which callers treat as "calibrate".
     #[must_use]
     pub fn from_name(name: &str) -> Option<KernelKind> {
         match name {
             "scalar-tiled" | "scalar" => Some(KernelKind::ScalarTiled),
-            "avx2-nibble" | "nibble" => Some(KernelKind::Avx2Nibble),
             "avx2-gather" | "gather" => Some(KernelKind::Avx2Gather),
+            "avx512-vbmi" | "vbmi" => Some(KernelKind::Avx512Vbmi),
             _ => None,
         }
     }
@@ -76,18 +78,21 @@ impl KernelKind {
     /// CPUID). [`KernelKind::ScalarTiled`] is always supported.
     #[must_use]
     pub fn is_supported(self) -> bool {
-        match self {
-            KernelKind::ScalarTiled => true,
-            KernelKind::Avx2Nibble | KernelKind::Avx2Gather => {
-                #[cfg(target_arch = "x86_64")]
-                {
-                    std::arch::is_x86_feature_detected!("avx2")
-                }
-                #[cfg(not(target_arch = "x86_64"))]
-                {
-                    false
+        #[cfg(target_arch = "x86_64")]
+        {
+            use std::arch::is_x86_feature_detected as has;
+            match self {
+                KernelKind::ScalarTiled => true,
+                KernelKind::Avx2Gather => has!("avx2"),
+                // The panel packer is SSE2/AVX2 code shared by both arms.
+                KernelKind::Avx512Vbmi => {
+                    has!("avx2") && has!("avx512f") && has!("avx512bw") && has!("avx512vbmi")
                 }
             }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            self == KernelKind::ScalarTiled
         }
     }
 }
@@ -103,8 +108,8 @@ impl fmt::Display for KernelKind {
 pub fn available_kernels() -> Vec<KernelKind> {
     [
         KernelKind::ScalarTiled,
-        KernelKind::Avx2Nibble,
         KernelKind::Avx2Gather,
+        KernelKind::Avx512Vbmi,
     ]
     .into_iter()
     .filter(|k| k.is_supported())
@@ -258,7 +263,7 @@ pub fn lut_gemm_dispatch_seg(
 ) -> Vec<f32> {
     match effective(kernel, accumulator) {
         #[cfg(target_arch = "x86_64")]
-        k @ (KernelKind::Avx2Nibble | KernelKind::Avx2Gather) => {
+        k @ (KernelKind::Avx2Gather | KernelKind::Avx512Vbmi) => {
             super::simd::lut_gemm_simd_seg(k, patches, patch_sums, plan, seg_q, segments, lut, pool)
         }
         _ => lut_gemm_tiled_seg(
@@ -283,8 +288,8 @@ mod tests {
     fn names_round_trip() {
         for k in [
             KernelKind::ScalarTiled,
-            KernelKind::Avx2Nibble,
             KernelKind::Avx2Gather,
+            KernelKind::Avx512Vbmi,
         ] {
             assert_eq!(KernelKind::from_name(k.name()), Some(k));
             assert_eq!(k.to_string(), k.name());
@@ -293,6 +298,7 @@ mod tests {
             KernelKind::from_name("scalar"),
             Some(KernelKind::ScalarTiled)
         );
+        assert_eq!(KernelKind::from_name("vbmi"), Some(KernelKind::Avx512Vbmi));
         assert_eq!(KernelKind::from_name("auto"), None);
         assert_eq!(KernelKind::from_name("neon-tbl"), None);
     }
@@ -343,11 +349,28 @@ mod tests {
             assert_eq!(choice, None);
             assert!(warning.unwrap().contains("cannot execute"));
         }
+        // `avx2-nibble` / `nibble` name no arm: they warn and fall
+        // through like any typo, and the warning lists the arms this
+        // host can run — `avx512-vbmi` exactly where it is supported.
+        for retired in ["avx2-nibble", "nibble"] {
+            let (choice, warning) = env_kernel_choice(retired);
+            assert_eq!(choice, None, "{retired}");
+            let msg = warning.expect("a retired kernel name must warn");
+            assert!(msg.contains("does not name a kernel"), "{msg}");
+            for k in available_kernels() {
+                assert!(msg.contains(k.name()), "{msg}");
+            }
+            assert_eq!(
+                msg.contains("avx512-vbmi"),
+                KernelKind::Avx512Vbmi.is_supported(),
+                "{msg}"
+            );
+        }
     }
 
     #[test]
     fn order_sensitive_models_downgrade_to_scalar() {
-        for k in [KernelKind::Avx2Nibble, KernelKind::Avx2Gather] {
+        for k in [KernelKind::Avx2Gather, KernelKind::Avx512Vbmi] {
             assert_eq!(
                 effective(k, Accumulator::Saturating(12)),
                 KernelKind::ScalarTiled

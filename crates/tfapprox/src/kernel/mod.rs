@@ -15,11 +15,12 @@
 //!   contiguous-row-span thread sharding whose per-row fold order is
 //!   partition-independent (bit-identical across thread counts, even
 //!   under order-sensitive [`Accumulator`] models).
-//! - `simd` (private, x86-64 only) — AVX2 panels that resolve 16–32
+//! - `simd` (private, x86-64 only) — vector panels that resolve 8–64
 //!   products per instruction from the [`axmult::SimdTables`] derived
-//!   layouts: a `vpgatherdd` row-gather arm and a `pshufb` nibble
-//!   sub-table arm. Exact accumulation only; the module's source
-//!   carries the bit-identity argument.
+//!   layouts: an AVX2 `vpgatherdd` row-gather arm and an AVX-512 VBMI
+//!   `vpermi2b` register-table arm over the lo/hi byte planes. Exact
+//!   accumulation only; the module's source carries the bit-identity
+//!   argument.
 //! - [`dispatch`] — the [`dispatch::KernelKind`] selector: explicit
 //!   override > `TFAPPROX_KERNEL` env > one-shot runtime calibration,
 //!   with every non-scalar arm silently falling back to the scalar

@@ -1,7 +1,7 @@
-//! AVX2 LUT-GEMM panels — the vector arms of the kernel family.
+//! x86-64 LUT-GEMM panels — the vector arms of the kernel family.
 //!
 //! Both arms consume the [`SimdTables`] layouts derived once per
-//! [`MulLut`] and resolve 16–32 products per instruction where the
+//! [`MulLut`] and resolve 16–64 products per instruction where the
 //! scalar walker resolves one per load:
 //!
 //! - **`avx2-gather`** ([`gather_panel`]): with the filter byte fixed,
@@ -10,12 +10,14 @@
 //!   paper's `tex1Dfetch<ushort>` reads from texture-cached table rows.
 //!   A `vpgatherdd` fetches 8 two-byte entries of that L1-resident row
 //!   per instruction, keyed directly by the activation bytes.
-//! - **`avx2-nibble`** ([`nibble_panel`]): the row is viewed as 16
-//!   sub-tables of 16 bytes per byte plane ([`SimdTables::lo_plane`] /
-//!   [`SimdTables::hi_plane`]); a `pshufb` per sub-table selects 32
-//!   lanes at once, with non-matching high nibbles saturated to a
-//!   poisoned index (bit 7 set ⇒ `pshufb` writes zero) and the 16
-//!   partial selections OR-merged.
+//! - **`avx512-vbmi`** ([`vbmi_panel`]): the row is split into a
+//!   256-byte low-byte and high-byte plane ([`SimdTables::lo_plane`] /
+//!   [`SimdTables::hi_plane`]), each four 64-byte quarters held in zmm
+//!   registers. Two `vpermi2b` (`permutex2var_epi8`) look 64 lanes up in
+//!   the lower and the upper 128-byte half at once (index bits 0–6), and
+//!   bit 7 of each activation byte picks between them with a masked
+//!   blend — the register file plays the part of the paper's texture
+//!   cache, with no memory gather.
 //!
 //! Both run over a **K-major packed panel** (`pbuf[k*mp + i]` = patch
 //! row `i`, tap `kb+k`) produced by [`pack_panel`], whose 16×16 SSE
@@ -26,9 +28,10 @@
 //! These arms serve only [`Accumulator::Exact`] (the dispatch layer
 //! guarantees it). Every 16-bit product is decoded exactly — sign- or
 //! zero-extended per table signedness — and summed in integers wide
-//! enough to never wrap: per ≤256-tap block the nibble arm's i16/u16
-//! register partials are exact (256·|min i16 product| = 32768 fits;
-//! 256·255 = 65 280 fits u16), per ≤4096-tap panel the i32 memory
+//! enough to never wrap: per ≤256-tap block the VBMI arm's 16-bit
+//! even/odd plane partials are exact (low plane ≤ 256·255 = 65 280 fits
+//! u16; signed high plane ≥ 256·(−128) = −32 768 fits i16; unsigned
+//! high plane as the low one), per ≤4096-tap panel the i32 memory
 //! accumulator is exact (4096·65 535 < 2³¹), and the cross-panel i64
 //! accumulator is the model's own width. Exact integer addition is
 //! associative, so any blocking/vectorization order produces the same
@@ -36,6 +39,8 @@
 //! Padded lanes (`mh..mp`) compute garbage that is never read, and the
 //! gather's 4-byte read at row offset 255 lands on [`SimdTables::padded`]'s
 //! trailing zero entry, never out of bounds.
+//!
+//! [`Accumulator::Exact`]: crate::accumulator::Accumulator::Exact
 
 use super::check_seg_operands;
 use super::dispatch::KernelKind;
@@ -46,7 +51,7 @@ use axquant::QuantParams;
 use axtensor::{Matrix, SegmentTable};
 use std::arch::x86_64::*;
 
-/// The segmented LUT GEMM on an AVX2 arm, sharded over `pool` exactly
+/// The segmented LUT GEMM on a SIMD arm, sharded over `pool` exactly
 /// like the scalar walker (contiguous row spans, partition-independent
 /// bits).
 ///
@@ -109,9 +114,10 @@ pub(super) fn lut_gemm_simd_seg(
 /// Run the blocked SIMD panels over output rows `r0 .. r0 + span/c_out`.
 ///
 /// Blocking: `mb_step` output rows at a time (acc64 tile ≈ 2 MB max),
-/// rounded-up working width `mp` a multiple of 32 so both arms sweep
-/// whole vectors; the tap dimension in `kc ≤ 4096` panels so the packed
-/// panel stays ≈1 MB and the per-channel i32 accumulator cannot wrap.
+/// rounded-up working width `mp` a multiple of the arm's lane block (32
+/// for gather, 64 for VBMI) so it sweeps whole vectors; the tap
+/// dimension in `kc ≤ 4096` panels so the packed panel stays ≈1 MB and
+/// the per-channel i32 accumulator cannot wrap.
 #[allow(clippy::too_many_arguments)]
 fn simd_span(
     kernel: KernelKind,
@@ -132,12 +138,16 @@ fn simd_span(
         return;
     }
     let mb_step = ((2usize << 20) / (8 * c_out)).clamp(32, 4096) & !31;
+    let lane_block = match kernel {
+        KernelKind::Avx512Vbmi => 64,
+        _ => 32,
+    };
     let mut pbuf: Vec<u8> = Vec::new();
     let mut acc32: Vec<i32> = Vec::new();
     let mut acc64: Vec<i64> = Vec::new();
     for mb in (0..span_rows).step_by(mb_step) {
         let mh = mb_step.min(span_rows - mb);
-        let mp = mh.next_multiple_of(32);
+        let mp = mh.next_multiple_of(lane_block);
         let kc = k_total.min(4096).min(((1usize << 20) / mp).max(64)).max(1);
         if acc32.len() < mp {
             acc32.resize(mp, 0);
@@ -152,38 +162,39 @@ fn simd_span(
             for c in 0..c_out {
                 acc32[..mp].fill(0);
                 let fcol = &plan.channel_bytes(c)[kb..kb + kw];
-                // SAFETY: AVX2 support is a precondition of this arm
+                // SAFETY: the arm's CPU support is a precondition
                 // (checked by the dispatch layer); `pbuf` holds `kw*mp`
-                // packed bytes with `mp % 32 == 0`, `acc32` has `mp`
-                // lanes, and the tables come from `SimdTables` (gather
-                // row reads stay inside the padded table — module docs).
+                // packed bytes with `mp` a multiple of the arm's lane
+                // block, `acc32` has `mp` lanes, and the tables come from
+                // `SimdTables` (gather row reads stay inside the padded
+                // table — module docs).
                 unsafe {
                     match (kernel, signedness) {
-                        (KernelKind::Avx2Gather, Signedness::Signed) => {
-                            gather_panel::<true>(&pbuf, fcol, simd.padded(), &mut acc32, mp);
+                        (KernelKind::Avx512Vbmi, Signedness::Signed) => {
+                            vbmi_panel::<true>(
+                                &pbuf,
+                                fcol,
+                                simd.lo_plane(),
+                                simd.hi_plane(),
+                                &mut acc32,
+                                mp,
+                            );
                         }
-                        (KernelKind::Avx2Gather, Signedness::Unsigned) => {
-                            gather_panel::<false>(&pbuf, fcol, simd.padded(), &mut acc32, mp);
+                        (KernelKind::Avx512Vbmi, Signedness::Unsigned) => {
+                            vbmi_panel::<false>(
+                                &pbuf,
+                                fcol,
+                                simd.lo_plane(),
+                                simd.hi_plane(),
+                                &mut acc32,
+                                mp,
+                            );
                         }
                         (_, Signedness::Signed) => {
-                            nibble_panel::<true>(
-                                &pbuf,
-                                fcol,
-                                simd.lo_plane(),
-                                simd.hi_plane(),
-                                &mut acc32,
-                                mp,
-                            );
+                            gather_panel::<true>(&pbuf, fcol, simd.padded(), &mut acc32, mp);
                         }
                         (_, Signedness::Unsigned) => {
-                            nibble_panel::<false>(
-                                &pbuf,
-                                fcol,
-                                simd.lo_plane(),
-                                simd.hi_plane(),
-                                &mut acc32,
-                                mp,
-                            );
+                            gather_panel::<false>(&pbuf, fcol, simd.padded(), &mut acc32, mp);
                         }
                     }
                 }
@@ -229,7 +240,7 @@ fn pack_panel(
             // SAFETY: the 16 source rows each have `kb+jb+16 ≤ cols`
             // bytes; the 16 destination columns end at
             // `(jb+15)*mp + ib + 16 ≤ kw*mp`; AVX2 (⊃ SSE2) is a
-            // precondition of this module's arms.
+            // precondition of every arm in this module.
             unsafe {
                 transpose16(
                     patches,
@@ -357,21 +368,20 @@ unsafe fn gather_panel<const SIGNED: bool>(
     }
 }
 
-/// The `pshufb` arm: per tap, sweep the 16 sub-tables of the active row
-/// in both byte planes, selecting 32 lanes per shuffle. Lane selection:
-/// XOR the activation byte with `h << 4` and saturating-add `0x70` — a
-/// matching high nibble yields an index `< 0x80` (its low nibble), any
-/// other saturates with bit 7 set, which `pshufb` maps to zero; the 16
-/// partial selections OR together. Byte partials accumulate in 16-bit
-/// registers per ≤256-tap block (exact — see module docs) and flush to
-/// `acc32`.
+/// The `vpermi2b` arm: per tap, the active LUT row of each byte plane
+/// is loaded as four 64-byte quarters and shared by two 64-lane blocks;
+/// two `permutex2var_epi8` look every lane up in the low and the high
+/// 128-byte half (index bits 0–6), and bit 7 of the activation byte
+/// (`movepi8_mask`) blends the two — no memory gather. Plane bytes
+/// accumulate as 16-bit even/odd lane partials per ≤256-tap block
+/// (exact — see module docs) and flush to `acc32`.
 ///
 /// # Safety
 ///
-/// Requires AVX2. `pbuf` must hold `fcol.len()*mp` bytes with
-/// `mp % 32 == 0`, and `acc32.len() >= mp`.
-#[target_feature(enable = "avx2")]
-unsafe fn nibble_panel<const SIGNED: bool>(
+/// Requires AVX-512F/BW/VBMI. `pbuf` must hold `fcol.len()*mp` bytes
+/// with `mp % 64 == 0`, and `acc32.len() >= mp`.
+#[target_feature(enable = "avx512f,avx512bw,avx512vbmi")]
+unsafe fn vbmi_panel<const SIGNED: bool>(
     pbuf: &[u8],
     fcol: &[u8],
     lo: &[u8; LUT_ENTRIES],
@@ -380,94 +390,154 @@ unsafe fn nibble_panel<const SIGNED: bool>(
     mp: usize,
 ) {
     let kw = fcol.len();
-    let seventy = _mm256_set1_epi8(0x70u8 as i8);
-    let zero = _mm256_setzero_si256();
     for kb in (0..kw).step_by(256) {
-        let kh = 256.min(kw - kb);
+        let taps = &fcol[kb..kw.min(kb + 256)];
+        let panel = pbuf.as_ptr().add(kb * mp);
         let mut mb = 0;
-        while mb < mp {
-            let mut alo0 = zero; // u16 partials, unpack lane order
-            let mut alo1 = zero;
-            let mut ahi0 = zero; // i16 (signed) / u16 (unsigned) partials
-            let mut ahi1 = zero;
-            for k in kb..kb + kh {
-                let fb = *fcol.get_unchecked(k) as usize;
-                let idx = _mm256_loadu_si256(pbuf.as_ptr().add(k * mp + mb) as *const __m256i);
-                let lrow = lo.as_ptr().add(fb << 8);
-                let hrow = hi.as_ptr().add(fb << 8);
-                let mut plo = zero;
-                let mut phi = zero;
-                for h in 0..16 {
-                    let tl = _mm256_broadcastsi128_si256(_mm_loadu_si128(
-                        lrow.add(h * 16) as *const __m128i
-                    ));
-                    let th = _mm256_broadcastsi128_si256(_mm_loadu_si128(
-                        hrow.add(h * 16) as *const __m128i
-                    ));
-                    let x = _mm256_xor_si256(idx, _mm256_set1_epi8((h << 4) as u8 as i8));
-                    let sel = _mm256_adds_epu8(x, seventy);
-                    plo = _mm256_or_si256(plo, _mm256_shuffle_epi8(tl, sel));
-                    phi = _mm256_or_si256(phi, _mm256_shuffle_epi8(th, sel));
-                }
-                alo0 = _mm256_add_epi16(alo0, _mm256_unpacklo_epi8(plo, zero));
-                alo1 = _mm256_add_epi16(alo1, _mm256_unpackhi_epi8(plo, zero));
-                let sign = if SIGNED {
-                    _mm256_cmpgt_epi8(zero, phi)
-                } else {
-                    zero
-                };
-                ahi0 = _mm256_add_epi16(ahi0, _mm256_unpacklo_epi8(phi, sign));
-                ahi1 = _mm256_add_epi16(ahi1, _mm256_unpackhi_epi8(phi, sign));
-            }
-            flush::<SIGNED>(acc32.as_mut_ptr().add(mb), alo0, alo1, ahi0, ahi1);
-            mb += 32;
+        while mb + 128 <= mp {
+            vbmi_blocks::<SIGNED, 2>(panel.add(mb), taps, lo, hi, acc32.as_mut_ptr().add(mb), mp);
+            mb += 128;
+        }
+        if mb < mp {
+            vbmi_blocks::<SIGNED, 1>(panel.add(mb), taps, lo, hi, acc32.as_mut_ptr().add(mb), mp);
         }
     }
 }
 
-/// Flush one 32-lane block of 16-bit partials into the i32 accumulators:
-/// `acc[m] += lo_sum + (hi_sum << 8)`, undoing the `punpck` interleave
-/// (`alo0` holds bytes `[0..8, 16..24]` of the block, `alo1` the rest).
+/// `NB` adjacent 64-lane blocks of [`vbmi_panel`] over ≤256 taps: byte
+/// `k*mp + 64*b + i` of `col` is lane `i` of block `b` at tap `k`.
 ///
 /// # Safety
 ///
-/// Requires AVX2; `acc` must point at 32 writable `i32`s.
-#[target_feature(enable = "avx2")]
-unsafe fn flush<const SIGNED: bool>(
+/// Requires AVX-512F/BW/VBMI. `taps.len() <= 256`; `col` must point at
+/// `taps.len()` tap rows of `mp` bytes with `64*NB` readable bytes each,
+/// and `acc` at `64*NB` writable `i32`s.
+#[inline]
+#[target_feature(enable = "avx512f,avx512bw,avx512vbmi")]
+unsafe fn vbmi_blocks<const SIGNED: bool, const NB: usize>(
+    col: *const u8,
+    taps: &[u8],
+    lo: &[u8; LUT_ENTRIES],
+    hi: &[u8; LUT_ENTRIES],
     acc: *mut i32,
-    alo0: __m256i,
-    alo1: __m256i,
-    ahi0: __m256i,
-    ahi1: __m256i,
+    mp: usize,
 ) {
-    let mut lo = [0u16; 32];
-    let mut hi = [0u16; 32];
-    _mm256_storeu_si256(lo.as_mut_ptr() as *mut __m256i, alo0);
-    _mm256_storeu_si256(lo.as_mut_ptr().add(16) as *mut __m256i, alo1);
-    _mm256_storeu_si256(hi.as_mut_ptr() as *mut __m256i, ahi0);
-    _mm256_storeu_si256(hi.as_mut_ptr().add(16) as *mut __m256i, ahi1);
-    const MAP: [usize; 32] = [
-        0, 1, 2, 3, 4, 5, 6, 7, 16, 17, 18, 19, 20, 21, 22, 23, 8, 9, 10, 11, 12, 13, 14, 15, 24,
-        25, 26, 27, 28, 29, 30, 31,
-    ];
-    for (slot, &m) in MAP.iter().enumerate() {
-        let h = if SIGNED {
-            i32::from(hi[slot] as i16)
-        } else {
-            i32::from(hi[slot])
-        };
-        *acc.add(m) += i32::from(lo[slot]) + (h << 8);
+    let low_byte = _mm512_set1_epi16(0xFF);
+    // Per block, `[lo_even, lo_odd, hi_even, hi_odd]`: word j of an even
+    // (odd) partial sums the byte of lane 2j (2j+1) — u16 for the low
+    // plane, i16 (signed) / u16 for the high plane.
+    let mut sums = [[_mm512_setzero_si512(); 4]; NB];
+    for (k, &fb) in taps.iter().enumerate() {
+        let row = usize::from(fb) << 8;
+        let lq = plane_row(lo.as_ptr().add(row));
+        let hq = plane_row(hi.as_ptr().add(row));
+        for (b, s) in sums.iter_mut().enumerate() {
+            let idx = _mm512_loadu_si512(col.add(k * mp + 64 * b) as *const __m512i);
+            let upper = _mm512_movepi8_mask(idx);
+            let plo = plane_lookup(&lq, idx, upper);
+            let phi = plane_lookup(&hq, idx, upper);
+            s[0] = _mm512_add_epi16(s[0], _mm512_and_si512(plo, low_byte));
+            s[1] = _mm512_add_epi16(s[1], _mm512_srli_epi16::<8>(plo));
+            if SIGNED {
+                let even = _mm512_srai_epi16::<8>(_mm512_slli_epi16::<8>(phi));
+                s[2] = _mm512_add_epi16(s[2], even);
+                s[3] = _mm512_add_epi16(s[3], _mm512_srai_epi16::<8>(phi));
+            } else {
+                s[2] = _mm512_add_epi16(s[2], _mm512_and_si512(phi, low_byte));
+                s[3] = _mm512_add_epi16(s[3], _mm512_srli_epi16::<8>(phi));
+            }
+        }
+    }
+    for (b, s) in sums.iter().enumerate() {
+        flush::<SIGNED>(acc.add(64 * b), [s[0], s[1]], [s[2], s[3]]);
     }
 }
 
-/// Calibrate the automatic choice between the two AVX2 arms: race them
-/// on a synthetic packed panel and keep the winner. Both arms are exact,
-/// so the (machine-dependent) outcome can never change results — gather
-/// tends to win on cores with fast `vpgatherdd` (Intel), nibble on
-/// cores where shuffle throughput dominates (AMD).
+/// One 256-byte plane row as its four 64-byte quarters.
 ///
-/// Only called once per process, from behind `auto_kernel`'s cache.
+/// # Safety
+///
+/// Requires AVX-512F; `row` must point at 256 readable bytes.
+#[inline]
+#[target_feature(enable = "avx512f")]
+unsafe fn plane_row(row: *const u8) -> [__m512i; 4] {
+    [0, 64, 128, 192].map(|off| _mm512_loadu_si512(row.add(off) as *const __m512i))
+}
+
+/// Look 64 activation bytes up in one plane row: byte `i` of the result
+/// is `row[idx[i]]`. `upper` carries bit 7 of each index.
+#[inline]
+#[target_feature(enable = "avx512f,avx512bw,avx512vbmi")]
+fn plane_lookup(q: &[__m512i; 4], idx: __m512i, upper: __mmask64) -> __m512i {
+    _mm512_mask_blend_epi8(
+        upper,
+        _mm512_permutex2var_epi8(q[0], idx, q[1]),
+        _mm512_permutex2var_epi8(q[2], idx, q[3]),
+    )
+}
+
+/// Word order that interleaves an even and an odd partial back into
+/// lane order: entry `2j` picks word `base + j` of the even partial,
+/// entry `2j + 1` the same word of the odd one (`permutex2var_epi16`
+/// index bit 5 selects the second operand).
+const fn interleave(base: u16) -> [u16; 32] {
+    let mut order = [0u16; 32];
+    let mut j = 0;
+    while j < 16 {
+        order[2 * j] = base + j as u16;
+        order[2 * j + 1] = 32 + base + j as u16;
+        j += 1;
+    }
+    order
+}
+
+/// Flush one 64-lane block of 16-bit `[even, odd]` partials into the i32
+/// accumulators: `acc[m] += lo_sum + (hi_sum << 8)`.
+///
+/// # Safety
+///
+/// Requires AVX-512F/BW; `acc` must point at 64 writable `i32`s.
+#[target_feature(enable = "avx512f,avx512bw")]
+unsafe fn flush<const SIGNED: bool>(acc: *mut i32, lo: [__m512i; 2], hi: [__m512i; 2]) {
+    const ORDERS: [[u16; 32]; 2] = [interleave(0), interleave(16)];
+    for (half, order) in ORDERS.iter().enumerate() {
+        let order = _mm512_loadu_si512(order.as_ptr() as *const __m512i);
+        let lo_words = _mm512_permutex2var_epi16(lo[0], order, lo[1]);
+        let hi_words = _mm512_permutex2var_epi16(hi[0], order, hi[1]);
+        let quarters = [
+            (
+                _mm512_castsi512_si256(lo_words),
+                _mm512_castsi512_si256(hi_words),
+            ),
+            (
+                _mm512_extracti64x4_epi64::<1>(lo_words),
+                _mm512_extracti64x4_epi64::<1>(hi_words),
+            ),
+        ];
+        for (q, (l, h)) in quarters.into_iter().enumerate() {
+            let h = if SIGNED {
+                _mm512_cvtepi16_epi32(h)
+            } else {
+                _mm512_cvtepu16_epi32(h)
+            };
+            let sum = _mm512_add_epi32(_mm512_cvtepu16_epi32(l), _mm512_slli_epi32::<8>(h));
+            let dst = acc.add(32 * half + 16 * q) as *mut __m512i;
+            _mm512_storeu_si512(dst, _mm512_add_epi32(_mm512_loadu_si512(dst), sum));
+        }
+    }
+}
+
+/// Calibrate the automatic choice among the SIMD arms this host can
+/// run: race them on a synthetic packed panel and keep the winner. Every
+/// arm is exact, so the (machine-dependent) outcome can never change
+/// results — only time.
+///
+/// Only called once per process, from behind `auto_kernel`'s cache, and
+/// only where [`KernelKind::Avx2Gather`] is supported.
 pub(super) fn pick_simd_kernel() -> KernelKind {
+    if !KernelKind::Avx512Vbmi.is_supported() {
+        return KernelKind::Avx2Gather;
+    }
     const MP: usize = 1024;
     const KW: usize = 256;
     let lut = MulLut::exact(Signedness::Signed);
@@ -477,40 +547,27 @@ pub(super) fn pick_simd_kernel() -> KernelKind {
         .collect();
     let fcol: Vec<u8> = (0..KW).map(|i| (i * 97 + 13) as u8).collect();
     let mut acc32 = vec![0i32; MP];
+    let mut best_of_4 = |run: &mut dyn FnMut(&mut [i32])| {
+        let mut best = std::time::Duration::MAX;
+        for _ in 0..4 {
+            let t = std::time::Instant::now();
+            run(&mut acc32);
+            best = best.min(t.elapsed());
+            std::hint::black_box(&acc32);
+        }
+        best
+    };
 
-    // SAFETY: AVX2 verified by the caller (`calibrate`); buffer shapes
-    // satisfy the panel contracts (MP % 32 == 0, pbuf = KW*MP bytes).
-    let t_gather = {
-        let mut best = std::time::Duration::MAX;
-        for _ in 0..4 {
-            let t = std::time::Instant::now();
-            unsafe { gather_panel::<true>(&pbuf, &fcol, simd.padded(), &mut acc32, MP) };
-            best = best.min(t.elapsed());
-            std::hint::black_box(&acc32);
-        }
-        best
-    };
-    let t_nibble = {
-        let mut best = std::time::Duration::MAX;
-        for _ in 0..4 {
-            let t = std::time::Instant::now();
-            unsafe {
-                nibble_panel::<true>(
-                    &pbuf,
-                    &fcol,
-                    simd.lo_plane(),
-                    simd.hi_plane(),
-                    &mut acc32,
-                    MP,
-                )
-            };
-            best = best.min(t.elapsed());
-            std::hint::black_box(&acc32);
-        }
-        best
-    };
-    if t_nibble < t_gather {
-        KernelKind::Avx2Nibble
+    // SAFETY (both closures): each arm's CPU support was verified (AVX2
+    // by the caller, VBMI above); buffer shapes satisfy the panel
+    // contracts (MP % 64 == 0, pbuf = KW*MP bytes, acc = MP lanes).
+    let t_gather =
+        best_of_4(&mut |acc| unsafe { gather_panel::<true>(&pbuf, &fcol, simd.padded(), acc, MP) });
+    let t_vbmi = best_of_4(&mut |acc| unsafe {
+        vbmi_panel::<true>(&pbuf, &fcol, simd.lo_plane(), simd.hi_plane(), acc, MP)
+    });
+    if t_vbmi < t_gather {
+        KernelKind::Avx512Vbmi
     } else {
         KernelKind::Avx2Gather
     }
@@ -569,7 +626,10 @@ mod tests {
                 &lut,
                 Accumulator::Exact,
             );
-            for kernel in [KernelKind::Avx2Gather, KernelKind::Avx2Nibble] {
+            for kernel in [KernelKind::Avx2Gather, KernelKind::Avx512Vbmi] {
+                if !kernel.is_supported() {
+                    continue;
+                }
                 for threads in [1, 3] {
                     let pool = WorkerPool::new(threads);
                     let got = lut_gemm_simd_seg(
@@ -582,11 +642,12 @@ mod tests {
     }
 
     #[test]
-    fn pick_simd_kernel_returns_an_avx2_arm() {
+    fn pick_simd_kernel_returns_a_supported_simd_arm() {
         if !avx2() {
             return;
         }
         let k = pick_simd_kernel();
-        assert!(matches!(k, KernelKind::Avx2Gather | KernelKind::Avx2Nibble));
+        assert!(matches!(k, KernelKind::Avx2Gather | KernelKind::Avx512Vbmi));
+        assert!(k.is_supported(), "{k}");
     }
 }

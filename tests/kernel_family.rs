@@ -7,7 +7,7 @@
 //! hatch is exercised by the same sweep: `KernelKind::ScalarTiled` is
 //! always in [`available_kernels`].
 
-use axmult::{AxMultiplier, Signedness};
+use axmult::{AxMultiplier, MulLut, Signedness};
 use axquant::{QuantParams, QuantRange, RoundMode};
 use axtensor::{rng, FilterShape, Matrix, SegmentTable};
 use proptest::prelude::*;
@@ -158,6 +158,83 @@ proptest! {
                     &out, &reference,
                     "segmented {} != reference ({}, {:?})",
                     kernel, name, accumulator
+                );
+            }
+        }
+    }
+}
+
+/// Blocking edges the proptest's small shapes never reach, on every
+/// available kernel:
+///
+/// - rows 63/64/65 straddle one 64-lane vector block, 130 is a 128-lane
+///   block pair plus a 64-lane tail, 200 spans several pairs;
+/// - K 255/256/257 straddle the 256-tap 16-bit partial flush, and 576
+///   crosses it twice;
+/// - 4160 rows on one thread cross a second row block (4096 + 64), with
+///   K 576 split over several tap panels.
+///
+/// Besides a signed and an unsigned catalog multiplier, worst-magnitude
+/// tables — every product `0x8000` (signed) or `0xFFFF` (unsigned) — at
+/// 256 and 257 taps pin the bound that keeps the i16/u16 partial sums
+/// exact.
+#[test]
+fn every_kernel_matches_the_reference_across_blocking_edges() {
+    let named = |name: &str| {
+        let mult = catalog().iter().find(|m| m.name() == name).unwrap();
+        mult.lut().clone()
+    };
+    let catalog_luts = [named("mul8s_bam_v8h0"), named("mul8u_bam_v8h0")];
+    let worst_luts = [
+        MulLut::from_fn(Signedness::Signed, |_, _| -0x8000),
+        MulLut::from_fn(Signedness::Unsigned, |_, _| 0xFFFF),
+    ];
+    let exact = [Accumulator::Exact];
+    for rows in [63, 64, 65, 130, 200] {
+        for k in [255, 256, 257, 576] {
+            check_against_reference(rows, k, 2, &catalog_luts, &accumulators());
+        }
+        for k in [256, 257] {
+            check_against_reference(rows, k, 2, &worst_luts, &exact);
+        }
+    }
+    check_against_reference(4160, 576, 1, &catalog_luts, &exact);
+}
+
+/// Every available kernel on a `rows × k` patch matrix and a two-channel
+/// filter bank equals the reference, for each table and accumulator.
+fn check_against_reference(
+    rows: usize,
+    k: usize,
+    threads: usize,
+    luts: &[MulLut],
+    accumulators: &[Accumulator],
+) {
+    let seed = (rows * 1000 + k) as u64;
+    let plan = plan_for(FilterShape::new(1, 1, k, 2), seed);
+    let input_q = input_q_for(0);
+    let pool = WorkerPool::new(threads);
+    for lut in luts {
+        let (patches, sums) = patches_for(rows, k, seed, lut.signedness());
+        for &accumulator in accumulators {
+            let reference = lut_gemm_reference(&patches, &sums, &plan, input_q, lut, accumulator);
+            for kernel in available_kernels() {
+                let out = lut_gemm_dispatch(
+                    kernel,
+                    &patches,
+                    &sums,
+                    &plan,
+                    input_q,
+                    lut,
+                    accumulator,
+                    TileConfig::default(),
+                    &pool,
+                );
+                assert_eq!(
+                    out,
+                    reference,
+                    "{kernel} != reference (rows {rows}, K {k}, {:?}, {accumulator:?})",
+                    lut.signedness()
                 );
             }
         }
