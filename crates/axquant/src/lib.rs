@@ -42,7 +42,5 @@ pub mod round;
 
 pub use affine::{QuantParams, QuantRange};
 pub use perchannel::FilterQuantization;
-#[allow(deprecated)]
-pub use range::EmaRangeTracker;
 pub use range::{segment_bounds, RangeTracker};
 pub use round::RoundMode;

@@ -6,8 +6,8 @@
 //! GPU percentages come from the functional simulation's phase-attributed
 //! cost model; CPU percentages from the Xeon-calibrated share model. The
 //! paper's published bars are printed alongside. Pass `--probe` to also
-//! derive the CPU LUT share *empirically* on this host by differencing a
-//! LUT run against a native-multiply run of the same nested loops, and
+//! measure on this host how much slower the LUT-emulated ResNet-8
+//! (`cpu-direct`, compile included) runs than the native f32 graph, and
 //! `--sweep-threads` to run the tiled CpuGemm backend at 1/2/4 host
 //! worker threads and print the measured throughput of each point.
 //!
@@ -124,11 +124,12 @@ fn main() {
     }
 
     if has_flag(&args, "--probe") {
-        // Empirical CPU LUT share on this host: time the transformed
-        // ResNet-8 once with the LUT and once with native multiplies on
-        // identical quantized operands; the difference is LUT emulation.
+        // Emulation slowdown on this host: the transformed ResNet-8 on
+        // the nested-loop backend against the accurate float graph. The
+        // session compile builds the filter plans, so it stays inside the
+        // timed region.
         println!();
-        println!("CPU LUT-share probe (this host, ResNet-8, {sample} image(s)):");
+        println!("CPU emulation probe (this host, ResNet-8, {sample} image(s)):");
         let graph = ResNetConfig::with_depth(8)
             .expect("depth")
             .build(42)
@@ -137,16 +138,9 @@ fn main() {
         let batch = data.batch_sized(0, sample.max(1));
         assert_eq!(batch.shape(), cifar_input_shape(sample.max(1)));
 
-        let time_backend = |use_lut: bool| -> f64 {
-            // The Layer path always uses the LUT; probing the no-LUT
-            // variant through the backend API directly is internal, so
-            // emulate by timing the full emulated path (compile + infer —
-            // session compilation builds the filter plans eagerly, which
-            // the legacy lazy path charged to the first forward, so it
-            // must stay inside the timed region for comparability) vs
-            // the accurate float graph.
+        let time_backend = |emulated: bool| -> f64 {
             let t = std::time::Instant::now();
-            if use_lut {
+            if emulated {
                 let session = Session::builder()
                     .backend(Backend::CpuDirect)
                     .multiplier(&mult)

@@ -1,12 +1,16 @@
-//! Minimal JSON emission and validation.
+//! Minimal JSON emission and validation — the workspace's one JSON
+//! writer.
 //!
 //! The offline container has no `serde_json`, so the benchmark trajectory
-//! file (`BENCH_conv.json`) is emitted through this hand-rolled writer
-//! and checked by the bench-smoke test through the hand-rolled validator
-//! — a strict recursive-descent syntax checker over the full JSON
-//! grammar (RFC 8259), minus duplicate-key detection.
+//! files (`BENCH_*.json`) and the session report ([`session_report`]) are
+//! emitted through this hand-rolled writer and checked by the
+//! bench-smoke test through the hand-rolled validator — a strict
+//! recursive-descent syntax checker over the full JSON grammar
+//! (RFC 8259), minus duplicate-key detection.
 
+use gpusim::Phase;
 use std::fmt::Write as _;
+use tfapprox::EmulationReport;
 
 /// Escape and quote a string literal.
 #[must_use]
@@ -74,6 +78,39 @@ pub fn object(fields: &[(&str, String)]) -> String {
 #[must_use]
 pub fn array(items: &[String]) -> String {
     format!("[{}]", items.join(", "))
+}
+
+/// Render a session's [`EmulationReport`] as one JSON object (schema
+/// `tfapprox-session-report/2`), suitable for appending to a
+/// `BENCH_*.json` trajectory: backend, the active LUT-GEMM kernel,
+/// `tinit`/`tcomp`/total seconds, image count, throughput, and the Fig. 2
+/// phase seconds and fractions.
+#[must_use]
+pub fn session_report(report: &EmulationReport) -> String {
+    let phases = |f: &dyn Fn(Phase) -> f64| -> String {
+        let names: Vec<String> = Phase::all()
+            .iter()
+            .map(|p| format!("{p:?}").to_lowercase())
+            .collect();
+        let fields: Vec<(&str, String)> = Phase::all()
+            .iter()
+            .zip(&names)
+            .map(|(&p, name)| (name.as_str(), number(f(p))))
+            .collect();
+        object(&fields)
+    };
+    object(&[
+        ("schema", string("tfapprox-session-report/2")),
+        ("backend", string(&report.backend.to_string())),
+        ("kernel", string(report.kernel)),
+        ("tinit_s", number(report.tinit)),
+        ("tcomp_s", number(report.tcomp)),
+        ("total_s", number(report.total())),
+        ("images", integer(report.images as u64)),
+        ("images_per_second", number(report.images_per_second())),
+        ("phase_seconds", phases(&|p| report.profile.seconds(p))),
+        ("phase_fractions", phases(&|p| report.profile.fraction(p))),
+    ])
 }
 
 /// Validate that `input` is one well-formed JSON value (with optional

@@ -283,7 +283,7 @@ fn quick_pareto_suite_emits_well_formed_json() {
 
 #[test]
 fn session_report_json_is_well_formed() {
-    // The session API's `EmulationReport::to_json` emits a document the
+    // `json::session_report` renders a session's report as a document the
     // same strict validator accepts, so session runs can append to a
     // `BENCH_*.json` trajectory exactly like the conv bench does.
     use tfapprox::prelude::*;
@@ -294,21 +294,50 @@ fn session_report_json_is_well_formed() {
     let mult = axmult::catalog::by_name("mul8s_exact").expect("catalog");
     let session = Session::builder()
         .backend(Backend::GpuSim)
+        .chunk_size(2)
         .multiplier(&mult)
         .compile(&graph)
         .expect("compile");
-    let batch = axnn::dataset::SyntheticCifar10::new(3).batch_sized(0, 2);
-    let (_, report) = session
-        .infer_batches(std::slice::from_ref(&batch))
-        .expect("run");
-    let doc = report.to_json();
+    let batches = [
+        axnn::dataset::SyntheticCifar10::new(3).batch_sized(0, 2),
+        axnn::dataset::SyntheticCifar10::new(4).batch_sized(0, 2),
+    ];
+    let (_, report) = session.infer_batches(&batches).expect("run");
+    let doc = json::session_report(&report);
     json::validate(&doc).expect("session report must be well-formed JSON");
-    assert!(doc.contains("\"schema\": \"tfapprox-session-report/2\""));
-    assert!(doc.contains("\"images_per_second\""));
-    // The modeled-GPU backend never enters the host GEMM, so the report
-    // pins its kernel to the "none" sentinel rather than a host arm.
-    assert!(doc.contains("\"kernel\": \"none\""));
-    assert!((report.images_per_second() - 2.0 / report.total()).abs() < 1e-9);
+    for needle in [
+        "\"schema\": \"tfapprox-session-report/2\"",
+        "\"backend\": \"gpu-sim\"",
+        // The modeled-GPU backend never enters the host GEMM, so the
+        // report pins its kernel to the "none" sentinel.
+        "\"kernel\": \"none\"",
+        "\"tinit_s\"",
+        "\"tcomp_s\"",
+        "\"total_s\"",
+        "\"images\": 4",
+        "\"images_per_second\"",
+        "\"phase_seconds\"",
+        "\"phase_fractions\"",
+        "\"lutlookup\"",
+    ] {
+        assert!(doc.contains(needle), "missing {needle} in {doc}");
+    }
+    assert!((report.images_per_second() - 4.0 / report.total()).abs() < 1e-9);
+
+    // Both zero-image shapes render identically on the deterministic
+    // modeled backend, with an explicit 0.0 throughput (never NaN/null).
+    let (_, none) = session.infer_batches(&[]).expect("empty list");
+    let zero = axtensor::Tensor::<f32>::zeros(axnn::resnet::cifar_input_shape(0));
+    let (_, zeroed) = session
+        .infer_batches(std::slice::from_ref(&zero))
+        .expect("zero tensor");
+    let none_doc = json::session_report(&none);
+    assert_eq!(none_doc, json::session_report(&zeroed));
+    assert!(none_doc.contains("\"images\": 0"), "{none_doc}");
+    assert!(
+        none_doc.contains("\"images_per_second\": 0.0"),
+        "{none_doc}"
+    );
 
     // The host-GEMM backend names its active kernel arm in the report.
     let session = Session::builder()
@@ -316,13 +345,57 @@ fn session_report_json_is_well_formed() {
         .multiplier(&mult)
         .compile(&graph)
         .expect("compile");
-    let (_, report) = session
-        .infer_batches(std::slice::from_ref(&batch))
-        .expect("run");
+    let (_, report) = session.infer_batches(&batches[..1]).expect("run");
     assert_eq!(report.kernel, session.kernel().name());
-    assert!(report
-        .to_json()
+    assert!(json::session_report(&report)
         .contains(&format!("\"kernel\": \"{}\"", session.kernel().name())));
+}
+
+#[test]
+fn session_report_json_is_pinned_byte_for_byte() {
+    // The exact rendering of schema `tfapprox-session-report/2`: field
+    // order, separators, lowercase phase keys, floats always with a
+    // fraction, the image count as an integer.
+    use gpusim::{Phase, PhaseProfile};
+    use tfapprox::{Backend, EmulationReport};
+    let mut profile = PhaseProfile::new();
+    profile.add(Phase::Init, 1.5);
+    profile.add(Phase::Other, 0.25);
+    profile.add(Phase::Quantization, 0.125);
+    profile.add(Phase::LutLookup, 0.125);
+    let report = EmulationReport {
+        backend: Backend::GpuSim,
+        tinit: 1.5,
+        tcomp: 0.5,
+        profile,
+        images: 4,
+        kernel: "none",
+    };
+    assert_eq!(
+        json::session_report(&report),
+        "{\"schema\": \"tfapprox-session-report/2\", \"backend\": \"gpu-sim\", \
+         \"kernel\": \"none\", \"tinit_s\": 1.5, \"tcomp_s\": 0.5, \"total_s\": 2.0, \
+         \"images\": 4, \"images_per_second\": 2.0, \"phase_seconds\": {\"init\": 1.5, \
+         \"other\": 0.25, \"quantization\": 0.125, \"lutlookup\": 0.125}, \
+         \"phase_fractions\": {\"init\": 0.75, \"other\": 0.125, \"quantization\": 0.0625, \
+         \"lutlookup\": 0.0625}}"
+    );
+    let empty = EmulationReport {
+        backend: Backend::CpuGemm,
+        tinit: 0.25,
+        tcomp: 0.1,
+        profile: PhaseProfile::new(),
+        images: 0,
+        kernel: "avx512-vbmi",
+    };
+    assert_eq!(
+        json::session_report(&empty),
+        "{\"schema\": \"tfapprox-session-report/2\", \"backend\": \"cpu-gemm\", \
+         \"kernel\": \"avx512-vbmi\", \"tinit_s\": 0.25, \"tcomp_s\": 0.1, \"total_s\": 0.35, \
+         \"images\": 0, \"images_per_second\": 0.0, \"phase_seconds\": {\"init\": 0.0, \
+         \"other\": 0.0, \"quantization\": 0.0, \"lutlookup\": 0.0}, \"phase_fractions\": \
+         {\"init\": 0.0, \"other\": 0.0, \"quantization\": 0.0, \"lutlookup\": 0.0}}"
+    );
 }
 
 #[test]

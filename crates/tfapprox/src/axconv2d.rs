@@ -170,21 +170,13 @@ impl AxConv2D {
         }
     }
 
-    /// Build the per-call spec against an existing plan. The filter-side
-    /// quantization is borrowed from the plan instead of re-derived via
-    /// [`Self::filter_quantization`], which for per-channel layers
-    /// rescans every filter tap — per-call work this engine exists to
-    /// hoist. (The prepared backends take the filter side from the plan
-    /// anyway; `spec.filter_q` only has to stay consistent with it.)
-    fn spec_with_plan<'a>(&'a self, plan: &'a PreparedFilter, lo: f32, hi: f32) -> ConvSpec<'a> {
-        let range = self.quant_range();
+    /// The layer-invariant half of every backend call.
+    fn spec(&self) -> ConvSpec<'_> {
         ConvSpec {
             filter: &self.filter,
             geometry: self.geometry,
             bias: self.bias.as_deref(),
             lut: &self.lut,
-            input_q: QuantParams::from_range(lo, hi, range, self.round),
-            filter_q: Cow::Borrowed(plan.filter_quantization()),
             accumulator: self.accumulator,
         }
     }
@@ -266,7 +258,8 @@ impl AxConv2D {
     }
 
     /// Convolve with the input range supplied by the caller (the Fig. 1
-    /// `Min`/`Max` scalars).
+    /// `Min`/`Max` scalars) — the one-segment case of
+    /// [`Self::convolve_segmented`].
     ///
     /// # Errors
     ///
@@ -279,30 +272,7 @@ impl AxConv2D {
         lo: f32,
         hi: f32,
     ) -> Result<Tensor<f32>, EmuError> {
-        backend::validate_range(lo, hi)?;
-        self.validate_filter_weights()?;
-        if input.shape().n == 0 {
-            // Zero images: nothing to compute, so build (and charge)
-            // nothing — in particular not the one-off plan, which would
-            // otherwise make a zero-image run report differently from a
-            // run with no batches at all.
-            let out_shape = self
-                .geometry
-                .output_shape(input.shape(), self.filter.shape())?;
-            return Ok(Tensor::zeros(out_shape));
-        }
-        let (plan, built) = self.plan();
-        let spec = self.spec_with_plan(&plan, lo, hi);
-        let (out, mut profile) = match self.ctx.backend() {
-            Backend::CpuDirect => backend::run_cpu_direct_prepared(input, &spec, &plan, true)?,
-            Backend::CpuGemm => backend::run_cpu_gemm_prepared(input, &spec, &plan, &self.ctx)?,
-            Backend::GpuSim => backend::run_gpusim_prepared(input, &spec, &plan, &self.ctx)?,
-        };
-        if let Some(build_profile) = built {
-            profile.merge(&build_profile);
-        }
-        self.ctx.record(&profile);
-        Ok(out)
+        self.convolve_segmented(input, &[(lo, hi)], &SegmentTable::single(input.shape().n))
     }
 
     /// Convolve, computing the input range internally (standalone use
@@ -316,22 +286,26 @@ impl AxConv2D {
         self.convolve_with_range(input, lo, hi)
     }
 
-    /// Convolve a *fused* multi-request batch, with one input range per
-    /// segment (the segmented Fig. 1 observers' outputs).
+    /// Convolve a (possibly fused multi-request) batch, with one input
+    /// range per segment (the segmented Fig. 1 observers' outputs). This is
+    /// the layer's one execution path: a solo call is the one-segment case.
     ///
-    /// Bit-identical to calling [`Self::convolve_with_range`] on each
-    /// segment alone with its own range and concatenating. On the
-    /// host-GEMM backend the whole batch runs as one segmented GEMM per
-    /// chunk ([`backend::run_cpu_gemm_fused_prepared`]); the other
-    /// backends run per segment and concatenate, which is the identity by
-    /// construction.
+    /// Bit-identical to calling this on each segment alone with its own
+    /// range and concatenating. On the host-GEMM backend the whole batch
+    /// runs as one segmented GEMM per chunk
+    /// ([`backend::run_cpu_gemm_prepared`]); the other backends run per
+    /// segment and concatenate, which is the identity by construction.
+    ///
+    /// A zero-image batch computes nothing and builds (and charges) no
+    /// plan, so a zero-image run reports exactly like a run with no
+    /// batches at all.
     ///
     /// # Errors
     ///
     /// Returns [`EmuError::Config`] if any segment's range is non-finite
-    /// or inverted, if the segment table does not cover exactly the
-    /// batch, or if `bounds` does not cover exactly the segments;
-    /// propagates shape errors.
+    /// or inverted, if the filter weights are non-finite, if the segment
+    /// table does not cover exactly the batch, or if `bounds` does not
+    /// cover exactly the segments; propagates shape errors.
     pub fn convolve_segmented(
         &self,
         input: &Tensor<f32>,
@@ -356,30 +330,24 @@ impl AxConv2D {
             .geometry
             .output_shape(input.shape(), self.filter.shape())?;
         if n == 0 {
-            // All segments empty: nothing to compute, and — exactly like
-            // the solo zero-image path — no plan is built or charged.
             return Ok(Tensor::zeros(out_shape));
         }
         let (plan, built) = self.plan();
         let range = self.quant_range();
+        let seg_q: Vec<QuantParams> = bounds
+            .iter()
+            .map(|&(lo, hi)| QuantParams::from_range(lo, hi, range, self.round))
+            .collect();
+        let spec = self.spec();
         let (out, mut profile) = match self.ctx.backend() {
             Backend::CpuGemm => {
-                let seg_q: Vec<QuantParams> = bounds
-                    .iter()
-                    .map(|&(lo, hi)| QuantParams::from_range(lo, hi, range, self.round))
-                    .collect();
-                // The spec's own input_q is unused by the fused runner;
-                // seed it with segment 0's range for coherence.
-                let spec = self.spec_with_plan(&plan, bounds[0].0, bounds[0].1);
-                backend::run_cpu_gemm_fused_prepared(
-                    input, &spec, &seg_q, segments, &plan, &self.ctx,
-                )?
+                backend::run_cpu_gemm_prepared(input, &spec, &seg_q, segments, &plan, &self.ctx)?
             }
             // The nested-loop and simulated-device backends gain nothing
             // from fusion (no shared GEMM to amortize); run the segments
             // back-to-back — the bit-identity baseline itself.
-            Backend::CpuDirect | Backend::GpuSim => {
-                let mut parts: Vec<Tensor<f32>> = Vec::new();
+            backend @ (Backend::CpuDirect | Backend::GpuSim) => {
+                let mut parts: Vec<Tensor<f32>> = Vec::with_capacity(segments.len());
                 let mut profile = PhaseProfile::new();
                 for (s, (start, end)) in segments.iter().enumerate() {
                     if start == end {
@@ -391,18 +359,22 @@ impl AxConv2D {
                         )));
                         continue;
                     }
-                    let piece = input.batch_slice(start, end - start);
-                    let spec = self.spec_with_plan(&plan, bounds[s].0, bounds[s].1);
-                    let (part, part_profile) = match self.ctx.backend() {
-                        Backend::CpuDirect => {
-                            backend::run_cpu_direct_prepared(&piece, &spec, &plan, true)?
-                        }
-                        _ => backend::run_gpusim_prepared(&piece, &spec, &plan, &self.ctx)?,
+                    // A segment spanning the whole batch (every solo
+                    // call) runs on the input itself, without a copy.
+                    let piece = if end - start == n {
+                        Cow::Borrowed(input)
+                    } else {
+                        Cow::Owned(input.batch_slice(start, end - start))
+                    };
+                    let (part, part_profile) = if backend == Backend::CpuDirect {
+                        backend::run_cpu_direct_prepared(&piece, &spec, seg_q[s], &plan)?
+                    } else {
+                        backend::run_gpusim_prepared(&piece, &spec, seg_q[s], &plan, &self.ctx)?
                     };
                     parts.push(part);
                     profile.merge(&part_profile);
                 }
-                (Tensor::concat_batch(&parts)?, profile)
+                (backend::concat_parts(parts)?, profile)
             }
         };
         if let Some(build_profile) = built {

@@ -151,92 +151,34 @@ impl AxDense {
         Ok(())
     }
 
-    /// Run the approximate dense computation (ranges computed per batch).
+    /// Run the approximate dense computation (ranges computed per batch)
+    /// — the one-segment case of [`Self::compute_segmented`].
     ///
     /// # Errors
     ///
     /// Returns [`EmuError::Config`] if the input feature count mismatches
     /// or the input contains non-finite values.
     pub fn compute(&self, input: &Tensor<f32>) -> Result<Tensor<f32>, EmuError> {
-        let s = input.shape();
-        if s.h * s.w * s.c != self.in_features {
-            return Err(EmuError::Config(format!(
-                "input features {} != {}",
-                s.h * s.w * s.c,
-                self.in_features
-            )));
-        }
-        // `weight_range` comes from the NaN-propagating min/max scan: one
-        // O(1) check rejects non-finite weights before they are baked
-        // into a cached plan.
-        if !self.weight_range.0.is_finite() || !self.weight_range.1.is_finite() {
-            return Err(EmuError::Config(
-                "dense weights contain non-finite values".to_owned(),
-            ));
-        }
-        let (lo, hi) = ops::min_max(input);
-        backend::validate_range(lo, hi)?;
-        if s.n == 0 {
-            // Zero rows: compute (and charge) nothing — not even the
-            // one-off plan build — so zero-image runs report exactly
-            // like runs with no batches (see `AxConv2D`).
-            return Ok(Tensor::zeros(Shape4::new(0, 1, 1, self.out_features)));
-        }
-        let input_q = QuantParams::from_range(lo, hi, self.quant_range(), self.round);
-        let weight_q = self.weight_quant();
-        let (plan, built) = self.plan();
-
-        let mut profile = PhaseProfile::new();
-        if let Some(build_profile) = built {
-            profile.merge(&build_profile);
-        }
-        let t0 = Instant::now();
-        let q_in: Vec<i32> = input
-            .as_slice()
-            .iter()
-            .map(|&v| input_q.quantize(v))
-            .collect();
-        profile.add(Phase::Quantization, t0.elapsed().as_secs_f64());
-        let q_w = plan.q_logical();
-        let sf = plan.sf();
-
-        let t1 = Instant::now();
-        let b1 = i64::from(input_q.zero_point());
-        let b2 = i64::from(weight_q.zero_point());
-        let a1a2 = f64::from(input_q.scale()) * f64::from(weight_q.scale());
-        let k = self.in_features as i64;
-        let n = s.n;
-        let mut out = Tensor::<f32>::zeros(Shape4::new(n, 1, 1, self.out_features));
-        for b in 0..n {
-            let row = &q_in[b * self.in_features..(b + 1) * self.in_features];
-            let sp: i64 = row.iter().map(|&q| i64::from(q)).sum();
-            for o in 0..self.out_features {
-                let mut acc = 0i64;
-                for (i, &iv) in row.iter().enumerate() {
-                    acc += i64::from(self.lut.product(iv, q_w[i * self.out_features + o]));
-                }
-                let corrected = acc - b2 * sp - b1 * sf[o] + k * b1 * b2;
-                *out.at_mut(b, 0, 0, o) = (a1a2 * corrected as f64) as f32 + self.bias[o];
-            }
-        }
-        profile.add(Phase::LutLookup, t1.elapsed().as_secs_f64());
-        self.ctx.record(&profile);
-        Ok(out)
+        self.compute_segmented(input, &SegmentTable::single(input.shape().n))
     }
 
-    /// Run the approximate dense computation over a *fused* multi-request
-    /// batch, resolving one input range per segment (a dense row is one
-    /// image, so [`segment_bounds`] observes each request's rows exactly
-    /// as a solo [`Self::compute`] would).
+    /// Run the approximate dense computation over a (possibly fused
+    /// multi-request) batch, resolving one input range per segment (a
+    /// dense row is one image, so [`segment_bounds`] observes each
+    /// request's rows exactly as a solo call would).
     ///
     /// Bit-identical to computing each segment alone and concatenating:
     /// every output row depends only on its own features and its
-    /// segment's `(α₁, β₁)`.
+    /// segment's `(α₁, β₁)`. Zero rows compute (and charge) nothing — not
+    /// even the one-off plan build — so zero-image runs report exactly
+    /// like runs with no batches (see `AxConv2D`).
     ///
     /// # Errors
     ///
-    /// As [`Self::compute`], applied per segment; additionally rejects a
-    /// segment table that does not cover exactly the batch.
+    /// Returns [`EmuError::Config`] if the input feature count mismatches,
+    /// the weights are non-finite, any segment's input contains
+    /// non-finite values, or the segment table does not cover exactly the
+    /// batch.
     pub fn compute_segmented(
         &self,
         input: &Tensor<f32>,
@@ -250,6 +192,9 @@ impl AxDense {
                 self.in_features
             )));
         }
+        // `weight_range` comes from the NaN-propagating min/max scan: one
+        // O(1) check rejects non-finite weights before they are baked
+        // into a cached plan.
         if !self.weight_range.0.is_finite() || !self.weight_range.1.is_finite() {
             return Err(EmuError::Config(
                 "dense weights contain non-finite values".to_owned(),

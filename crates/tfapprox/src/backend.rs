@@ -4,38 +4,40 @@
 //! Eq. 4 with products taken from the multiplier LUT — and are
 //! cross-validated in tests. They differ in *how*:
 //!
-//! - [`run_cpu_direct`]: nested loops (ALWANN \[12\]), `i64` accumulation,
-//!   no intermediate patch matrix;
-//! - [`run_cpu_gemm`]: Algorithm 1 on host threads — chunked quantizing
-//!   im2col, LUT GEMM on the context's persistent worker pool, Eq. 4
-//!   correction;
-//! - [`run_gpusim`]: Algorithm 1 on the simulated device — the paper's
-//!   kernels with texture-cache LUT fetches and analytic cycle accounting.
+//! - [`run_cpu_direct_prepared`]: nested loops (ALWANN \[12\]), `i64`
+//!   accumulation, no intermediate patch matrix;
+//! - [`run_cpu_gemm_prepared`]: Algorithm 1 on host threads — chunked
+//!   quantizing im2col, one segmented LUT GEMM per chunk on the context's
+//!   persistent worker pool, Eq. 4 correction;
+//! - [`run_gpusim_prepared`]: Algorithm 1 on the simulated device — the
+//!   paper's kernels with texture-cache LUT fetches and analytic cycle
+//!   accounting.
 //!
-//! Each backend comes in two flavours: a `*_prepared` variant that
-//! consumes a [`PreparedFilter`] plan (all layer-invariant quantization
-//! hoisted out — what [`crate::AxConv2D`] calls with its cached plan), and
-//! a standalone wrapper of the same name as before that builds a
-//! throwaway plan per call and charges its cost to the Quantization phase.
+//! Each backend has exactly one runner, and every runner consumes a
+//! [`PreparedFilter`] plan (all layer-invariant quantization hoisted out —
+//! what [`crate::AxConv2D`] builds once and caches). The host-GEMM runner
+//! takes a whole fused batch with one input quantization per segment; the
+//! other two run one segment per call, which [`crate::AxConv2D`] loops
+//! over. A solo request is the one-segment case either way.
 
 use crate::accumulator::Accumulator;
 use crate::kernel;
 use crate::prepared::PreparedFilter;
 use crate::{EmuContext, EmuError};
 use axmult::MulLut;
-use axquant::{FilterQuantization, QuantParams};
+use axquant::QuantParams;
 use axtensor::{ops::Filter, ConvGeometry, Matrix, SegmentTable, Shape4, Tensor};
 use gpusim::kernels::gemm::approx_gemm_prepared;
 use gpusim::kernels::im2col::{im2col_quant, PatchSumStrategy};
 use gpusim::kernels::minmax::reduction_events;
 use gpusim::{Phase, PhaseProfile};
-use std::borrow::Cow;
 use std::time::Instant;
 
-/// Everything a backend needs to run one approximate convolution.
+/// The layer-invariant half of one approximate convolution: everything a
+/// backend needs besides the input, its quantization and the plan.
 #[derive(Debug, Clone)]
 pub struct ConvSpec<'a> {
-    /// The filter bank (f32; quantized inside the backend).
+    /// The filter bank (f32; its quantized form comes from the plan).
     pub filter: &'a Filter,
     /// Stride/dilation/padding.
     pub geometry: ConvGeometry,
@@ -43,14 +45,6 @@ pub struct ConvSpec<'a> {
     pub bias: Option<&'a [f32]>,
     /// The approximate multiplier's truth table.
     pub lut: &'a MulLut,
-    /// Input quantization (`α₁`, `β₁`), from the batch's min/max.
-    pub input_q: QuantParams,
-    /// Filter quantization (`α₂`, `β₂`), per-tensor or per-channel, from
-    /// the weight range(s). A `Cow` so the prepared call path can borrow
-    /// the plan's resolved quantization instead of cloning per call
-    /// (only the standalone wrappers, which build a throwaway plan, read
-    /// it).
-    pub filter_q: Cow<'a, FilterQuantization>,
     /// Accumulator model of the emulated MAC (CPU backends; the GPU
     /// kernel accumulates in f32 like the paper's).
     pub accumulator: Accumulator,
@@ -98,35 +92,20 @@ fn apply_bias(mut out: Tensor<f32>, bias: Option<&[f32]>) -> Tensor<f32> {
     out
 }
 
-/// Direct nested-loop emulation (the paper's approximate-CPU baseline).
-///
-/// When `use_lut` is false the inner multiplication uses native integer
-/// arithmetic on the same quantized operands instead of the LUT fetch —
-/// the difference in wall-clock between the two runs isolates the LUT
-/// share for the Fig. 2 CPU breakdown.
-///
-/// Builds a throwaway [`PreparedFilter`] per call; use
-/// [`run_cpu_direct_prepared`] to amortize it across calls.
-///
-/// # Errors
-///
-/// Propagates shape errors.
-pub fn run_cpu_direct(
-    input: &Tensor<f32>,
-    spec: &ConvSpec<'_>,
-    use_lut: bool,
-) -> Result<(Tensor<f32>, PhaseProfile), EmuError> {
-    let t0 = Instant::now();
-    let plan = PreparedFilter::from_filter(spec.filter, &spec.filter_q);
-    let build_s = t0.elapsed().as_secs_f64();
-    let (out, mut profile) = run_cpu_direct_prepared(input, spec, &plan, use_lut)?;
-    profile.add(Phase::Quantization, build_s);
-    Ok((out, profile))
+/// Concatenate per-chunk or per-segment outputs along the batch axis. A
+/// single part — every chunk of a solo call — is returned as it is,
+/// without a copy.
+pub(crate) fn concat_parts(mut parts: Vec<Tensor<f32>>) -> Result<Tensor<f32>, EmuError> {
+    if parts.len() == 1 {
+        return Ok(parts.pop().expect("one part"));
+    }
+    Ok(Tensor::concat_batch(&parts)?)
 }
 
-/// [`run_cpu_direct`] against a pre-built plan: only the input side is
-/// quantized per call. `plan` must have been built from `spec.filter`
-/// under `spec.filter_q`.
+/// Direct nested-loop emulation (the paper's approximate-CPU baseline)
+/// of one segment quantized under `input_q`. Only the input side is
+/// quantized per call; the filter side comes from `plan`, which must have
+/// been built from `spec.filter`.
 ///
 /// # Errors
 ///
@@ -134,8 +113,8 @@ pub fn run_cpu_direct(
 pub fn run_cpu_direct_prepared(
     input: &Tensor<f32>,
     spec: &ConvSpec<'_>,
+    input_q: QuantParams,
     plan: &PreparedFilter,
-    use_lut: bool,
 ) -> Result<(Tensor<f32>, PhaseProfile), EmuError> {
     let fs = spec.filter.shape();
     let out_shape = spec.geometry.output_shape(input.shape(), fs)?;
@@ -149,9 +128,9 @@ pub fn run_cpu_direct_prepared(
     let q_in: Vec<i32> = input
         .as_slice()
         .iter()
-        .map(|&v| spec.input_q.quantize(v))
+        .map(|&v| input_q.quantize(v))
         .collect();
-    let zero_q = spec.input_q.quantize(0.0);
+    let zero_q = input_q.quantize(0.0);
     profile.add(Phase::Quantization, t0.elapsed().as_secs_f64());
     let col_q = plan.col_q();
     let q_f = plan.q_logical();
@@ -159,8 +138,8 @@ pub fn run_cpu_direct_prepared(
 
     // --- The convolution loops.
     let t1 = Instant::now();
-    let b1 = i64::from(spec.input_q.zero_point());
-    let a1 = f64::from(spec.input_q.scale());
+    let b1 = i64::from(input_q.zero_point());
+    let a1 = f64::from(input_q.scale());
     let n_taps = fs.patch_len() as i64;
     let mut out = Tensor::<f32>::zeros(out_shape);
     for n in 0..out_shape.n {
@@ -202,11 +181,7 @@ pub fn run_cpu_direct_prepared(
                                 let i_val = taps[tap];
                                 tap += 1;
                                 let f_val = q_f[fs.index(ky, kx, ci, co)];
-                                let prod = if use_lut {
-                                    i64::from(spec.lut.product(i_val, f_val))
-                                } else {
-                                    i64::from(i_val) * i64::from(f_val)
-                                };
+                                let prod = i64::from(spec.lut.product(i_val, f_val));
                                 acc = spec.accumulator.add(acc, prod);
                             }
                         }
@@ -218,139 +193,38 @@ pub fn run_cpu_direct_prepared(
         }
     }
     // The monolithic loop interleaves lookup and accumulation; attribute
-    // it to the LUT phase when the LUT is in use (callers isolate the true
-    // LUT share by differencing against a `use_lut = false` run).
-    profile.add(
-        if use_lut {
-            Phase::LutLookup
-        } else {
-            Phase::Other
-        },
-        t1.elapsed().as_secs_f64(),
-    );
+    // it all to the LUT phase.
+    profile.add(Phase::LutLookup, t1.elapsed().as_secs_f64());
     Ok((apply_bias(out, spec.bias), profile))
 }
 
-/// Optimized host-side Algorithm 1: chunked quantizing im2col + LUT GEMM
-/// on the context's persistent worker pool + Eq. 4 correction.
-///
-/// Builds a throwaway [`PreparedFilter`] per call; use
-/// [`run_cpu_gemm_prepared`] to amortize it across calls. Chunk size and
-/// worker pool come from `ctx`.
-///
-/// # Errors
-///
-/// Propagates shape errors.
-pub fn run_cpu_gemm(
-    input: &Tensor<f32>,
-    spec: &ConvSpec<'_>,
-    ctx: &EmuContext,
-) -> Result<(Tensor<f32>, PhaseProfile), EmuError> {
-    let t0 = Instant::now();
-    let plan = PreparedFilter::from_filter(spec.filter, &spec.filter_q);
-    let build_s = t0.elapsed().as_secs_f64();
-    let (out, mut profile) = run_cpu_gemm_prepared(input, spec, &plan, ctx)?;
-    profile.add(Phase::Quantization, build_s);
-    Ok((out, profile))
-}
-
-/// [`run_cpu_gemm`] against a pre-built plan: the filter bytes, `Sf` sums
-/// and per-channel parameters come straight from `plan`, and the GEMM is
-/// the tiled, thread-sharded microkernel of [`crate::kernel`] running on
-/// `ctx`'s persistent worker pool — cache-blocked per
-/// [`EmuContext::tile_config`], with register micro-tiles streaming the
-/// patch matrix against one hoisted LUT row per tap. `plan` must have
-/// been built from `spec.filter` under `spec.filter_q`.
-///
-/// A zero-batch input returns a correctly-shaped empty output.
-///
-/// # Errors
-///
-/// Propagates shape errors.
-pub fn run_cpu_gemm_prepared(
-    input: &Tensor<f32>,
-    spec: &ConvSpec<'_>,
-    plan: &PreparedFilter,
-    ctx: &EmuContext,
-) -> Result<(Tensor<f32>, PhaseProfile), EmuError> {
-    let fs = spec.filter.shape();
-    let mut profile = PhaseProfile::new();
-    let out_shape = spec.geometry.output_shape(input.shape(), fs)?;
-    let n = input.shape().n;
-    if n == 0 {
-        return Ok((apply_bias(Tensor::zeros(out_shape), spec.bias), profile));
-    }
-
-    let lut = spec.lut;
-    let accumulator = spec.accumulator;
-    let pool = ctx.pool();
-    let tiles = ctx.tile_config();
-    let chunk_size = ctx.chunk_size();
-
-    let mut parts: Vec<Tensor<f32>> = Vec::new();
-    let mut start = 0usize;
-    while start < n {
-        let count = chunk_size.min(n - start);
-        let chunk = input.batch_slice(start, count);
-
-        // Quantizing im2col (shares the functional kernel; host timing).
-        let t1 = Instant::now();
-        let patches = im2col_quant(
-            &chunk,
-            fs,
-            spec.geometry,
-            spec.input_q,
-            PatchSumStrategy::PrefixScan,
-        )?
-        .output;
-        profile.add(Phase::Other, t1.elapsed().as_secs_f64());
-
-        // Blocked LUT GEMM on the persistent pool, on the context's
-        // kernel arm (bit-identical whichever arm runs).
-        let t2 = Instant::now();
-        let out_buf = kernel::dispatch::lut_gemm_dispatch(
-            ctx.kernel(),
-            &patches.matrix,
-            &patches.patch_sums,
-            plan,
-            spec.input_q,
-            lut,
-            accumulator,
-            tiles,
-            pool,
-        );
-        profile.add(Phase::LutLookup, t2.elapsed().as_secs_f64());
-
-        parts.push(Tensor::from_vec(patches.out_shape, out_buf)?);
-        start += count;
-    }
-    let out = Tensor::concat_batch(&parts)?;
-    Ok((apply_bias(out, spec.bias), profile))
-}
-
-/// [`run_cpu_gemm_prepared`] over a *fused* multi-request batch: one
-/// segmented LUT GEMM per chunk instead of one whole pipeline per
-/// request.
+/// Optimized host-side Algorithm 1 over a (possibly fused multi-request)
+/// batch: chunked quantizing im2col, one tiled LUT GEMM per chunk on the
+/// context's persistent worker pool and kernel arm, Eq. 4 correction.
+/// Chunk size, tiles and pool come from `ctx`; the filter bytes, `Sf`
+/// sums and per-channel parameters come from `plan`, which must have been
+/// built from `spec.filter`.
 ///
 /// `segments` partitions the batch axis into request spans and `seg_q`
-/// gives each span its own input quantization (from its own observers);
-/// `spec.input_q` is ignored. Each chunk is intersected with the segment
-/// spans, every resulting piece is im2col-quantized under its segment's
-/// params — byte-identical to the patches a solo run of that request
-/// produces — and the concatenated pieces run as **one** tiled GEMM whose
-/// epilogue picks the owning segment's Eq. 4 constants per row. Since
-/// every output row depends only on its own patch bytes, its segment's
-/// params, and the fixed ascending-`k` fold order, the result is
-/// bit-identical to running each request alone and concatenating, for any
-/// chunk size, tile shape, thread count, and accumulator model.
+/// gives each span its own input quantization (from its own observers); a
+/// solo call passes [`SegmentTable::single`] and one parameter set. Each
+/// chunk is intersected with the segment spans, every resulting piece is
+/// im2col-quantized under its segment's params, and the pieces run as
+/// **one** GEMM whose epilogue picks the owning segment's Eq. 4 constants
+/// per row. Since every output row depends only on its own patch bytes,
+/// its segment's params, and the fixed ascending-`k` fold order, the
+/// result is bit-identical to running each request alone and
+/// concatenating, for any chunk size, tile shape, thread count, and
+/// accumulator model.
+///
+/// A zero-batch input returns a correctly-shaped empty output.
 ///
 /// # Errors
 ///
 /// Returns [`EmuError::Config`] if the segment table does not cover
 /// exactly the batch or `seg_q` does not cover exactly the segments;
 /// propagates shape errors.
-#[allow(clippy::too_many_arguments)]
-pub fn run_cpu_gemm_fused_prepared(
+pub fn run_cpu_gemm_prepared(
     input: &Tensor<f32>,
     spec: &ConvSpec<'_>,
     seg_q: &[QuantParams],
@@ -375,65 +249,80 @@ pub fn run_cpu_gemm_fused_prepared(
         return Ok((apply_bias(Tensor::zeros(out_shape), spec.bias), profile));
     }
 
-    let lut = spec.lut;
-    let accumulator = spec.accumulator;
-    let pool = ctx.pool();
-    let tiles = ctx.tile_config();
     let chunk_size = ctx.chunk_size();
     let k = fs.patch_len();
-
-    let mut parts: Vec<Tensor<f32>> = Vec::new();
+    let mut parts: Vec<Tensor<f32>> = Vec::with_capacity(n.div_ceil(chunk_size));
     let mut start = 0usize;
     while start < n {
         let count = chunk_size.min(n - start);
 
-        // Intersect the chunk with the request spans: each piece is
-        // im2col-quantized under its own segment's params, then all
-        // pieces run as one segmented GEMM.
+        // Intersect the chunk with the request spans and im2col-quantize
+        // each piece under its own segment's params.
         let t1 = Instant::now();
-        let mut bytes: Vec<u8> = Vec::new();
-        let mut sums: Vec<i64> = Vec::new();
-        let mut piece_q: Vec<QuantParams> = Vec::new();
-        let mut piece_rows: Vec<usize> = Vec::new();
+        let mut pieces = Vec::new();
         for (s, (seg_start, seg_end)) in segments.iter().enumerate() {
             let lo = seg_start.max(start);
             let hi = seg_end.min(start + count);
-            if lo >= hi {
-                continue;
+            if lo < hi {
+                let piece = input.batch_slice(lo, hi - lo);
+                let patches = im2col_quant(
+                    &piece,
+                    fs,
+                    spec.geometry,
+                    seg_q[s],
+                    PatchSumStrategy::PrefixScan,
+                )?
+                .output;
+                pieces.push((patches, seg_q[s]));
             }
-            let piece = input.batch_slice(lo, hi - lo);
-            let patches = im2col_quant(
-                &piece,
-                fs,
-                spec.geometry,
-                seg_q[s],
-                PatchSumStrategy::PrefixScan,
-            )?
-            .output;
-            bytes.extend_from_slice(patches.matrix.as_slice());
-            sums.extend_from_slice(&patches.patch_sums);
-            piece_q.push(seg_q[s]);
-            piece_rows.push(patches.matrix.rows());
         }
-        let rows = sums.len();
-        let matrix = Matrix::from_vec(rows, k, bytes)?;
-        let row_table = SegmentTable::from_counts(&piece_rows);
+        // A chunk inside one segment (every chunk of a solo call) feeds
+        // its patches to the GEMM as they are; only a chunk that spans
+        // several segments is stacked into one matrix.
+        let (matrix, sums, piece_q, row_table) = if pieces.len() == 1 {
+            let (patches, q) = pieces.pop().expect("one piece");
+            let rows = patches.matrix.rows();
+            (
+                patches.matrix,
+                patches.patch_sums,
+                vec![q],
+                SegmentTable::single(rows),
+            )
+        } else {
+            let mut bytes: Vec<u8> = Vec::new();
+            let mut sums: Vec<i64> = Vec::new();
+            let mut piece_q = Vec::with_capacity(pieces.len());
+            let mut piece_rows = Vec::with_capacity(pieces.len());
+            for (patches, q) in pieces {
+                bytes.extend_from_slice(patches.matrix.as_slice());
+                sums.extend_from_slice(&patches.patch_sums);
+                piece_q.push(q);
+                piece_rows.push(patches.matrix.rows());
+            }
+            let matrix = Matrix::from_vec(sums.len(), k, bytes)?;
+            (
+                matrix,
+                sums,
+                piece_q,
+                SegmentTable::from_counts(&piece_rows),
+            )
+        };
         profile.add(Phase::Other, t1.elapsed().as_secs_f64());
 
-        // One fused, blocked LUT GEMM for the whole chunk, on the
-        // context's kernel arm.
+        // One blocked LUT GEMM for the whole chunk, on the context's
+        // kernel arm (bit-identical whichever arm runs).
         let t2 = Instant::now();
-        let out_buf = kernel::dispatch::lut_gemm_dispatch_seg(
+        let out_buf = kernel::dispatch::lut_gemm_dispatch(
             ctx.kernel(),
             &matrix,
             &sums,
             plan,
             &piece_q,
             &row_table,
-            lut,
-            accumulator,
-            tiles,
-            pool,
+            spec.lut,
+            spec.accumulator,
+            ctx.tile_config(),
+            ctx.pool(),
         );
         profile.add(Phase::LutLookup, t2.elapsed().as_secs_f64());
 
@@ -443,44 +332,19 @@ pub fn run_cpu_gemm_fused_prepared(
         )?);
         start += count;
     }
-    let out = Tensor::concat_batch(&parts)?;
-    Ok((apply_bias(out, spec.bias), profile))
+    Ok((apply_bias(concat_parts(parts)?, spec.bias), profile))
 }
 
-/// Algorithm 1 on the simulated GPU: the paper's proposal.
+/// Algorithm 1 on the simulated GPU — the paper's proposal — over one
+/// segment quantized under `input_q`.
 ///
 /// Functional results come from the [`gpusim`] kernels; the profile holds
 /// *modeled* seconds derived from the kernels' event counts under the
 /// context's device calibration. The min/max reductions the transformed
 /// graph performs per batch are also charged here (they run on the device
-/// in the paper's implementation).
-///
-/// Builds a throwaway [`PreparedFilter`] per call and charges its modeled
-/// quantization cost; use [`run_gpusim_prepared`] to amortize it.
-///
-/// # Errors
-///
-/// Propagates shape errors.
-pub fn run_gpusim(
-    input: &Tensor<f32>,
-    spec: &ConvSpec<'_>,
-    ctx: &EmuContext,
-) -> Result<(Tensor<f32>, PhaseProfile), EmuError> {
-    let plan = PreparedFilter::from_filter(spec.filter, &spec.filter_q);
-    let (out, mut profile) = run_gpusim_prepared(input, spec, &plan, ctx)?;
-    // A standalone call pays the filter quantization a prepared caller
-    // pays once at plan-build time.
-    let ev = plan.quant_events();
-    profile.add(Phase::Quantization, ctx.device().seconds(&ev));
-    ctx.record_events(&ev);
-    Ok((out, profile))
-}
-
-/// [`run_gpusim`] against a pre-built plan: the device kernels consume the
-/// plan's quantized filter bytes directly, so no chunk ever re-quantizes
-/// the filter bank (the pre-refactor code did — and rebuilt the f32
-/// filter matrix — on **every** chunk). `plan` must have been built from
-/// `spec.filter` under `spec.filter_q`.
+/// in the paper's implementation). The device kernels consume the plan's
+/// quantized filter bytes directly, so no chunk re-quantizes the filter
+/// bank; `plan` must have been built from `spec.filter`.
 ///
 /// A zero-batch input returns a correctly-shaped empty output.
 ///
@@ -490,6 +354,7 @@ pub fn run_gpusim(
 pub fn run_gpusim_prepared(
     input: &Tensor<f32>,
     spec: &ConvSpec<'_>,
+    input_q: QuantParams,
     plan: &PreparedFilter,
     ctx: &EmuContext,
 ) -> Result<(Tensor<f32>, PhaseProfile), EmuError> {
@@ -519,7 +384,7 @@ pub fn run_gpusim_prepared(
             &chunk,
             fs,
             spec.geometry,
-            spec.input_q,
+            input_q,
             PatchSumStrategy::PrefixScan,
         )?;
         for (phase, ev) in &im2col.events {
@@ -535,7 +400,7 @@ pub fn run_gpusim_prepared(
                 plan.f_bytes(),
                 plan.sf(),
                 plan.col_q(),
-                spec.input_q,
+                input_q,
                 spec.lut,
                 cache,
             )
@@ -547,69 +412,7 @@ pub fn run_gpusim_prepared(
         parts.push(Tensor::from_vec(patches.out_shape, gemm.output.into_vec())?);
         start += count;
     }
-    let out = Tensor::concat_batch(&parts)?;
-    Ok((apply_bias(out, spec.bias), profile))
-}
-
-/// The accurate f32 convolution timed on the device model — the paper's
-/// "accurate Conv2D (GPU)" baseline. Functional output comes from the f32
-/// reference; the cost is the FMA/DRAM roofline of a dense GEMM.
-///
-/// # Errors
-///
-/// Propagates shape errors.
-pub fn run_gpusim_accurate(
-    input: &Tensor<f32>,
-    filter: &Filter,
-    geometry: ConvGeometry,
-    bias: Option<&[f32]>,
-    ctx: &EmuContext,
-) -> Result<(Tensor<f32>, PhaseProfile), EmuError> {
-    let out = axtensor::ops::conv2d_gemm(input, filter, geometry)?;
-    let macs = geometry.mac_count(input.shape(), filter.shape())?;
-    let mut ev = gpusim::EventCounts::new();
-    ev.fma_ops = macs;
-    ev.global_read_bytes = (input.shape().len() + filter.shape().len()) as u64 * 4;
-    ev.global_write_bytes = out.shape().len() as u64 * 4;
-    let mut profile = PhaseProfile::new();
-    profile.add(Phase::Other, ctx.device().seconds(&ev));
-    Ok((apply_bias(out, bias), profile))
-}
-
-/// Reference output shape helper shared by the layer.
-///
-/// # Errors
-///
-/// Propagates shape errors.
-pub fn output_shape(
-    input: Shape4,
-    spec_filter: &Filter,
-    geometry: ConvGeometry,
-) -> Result<Shape4, EmuError> {
-    Ok(geometry.output_shape(input, spec_filter.shape())?)
-}
-
-/// Build a quantized reference output with exact arithmetic (quantize →
-/// integer convolution → dequantize) — what TensorFlow's fake-quant path
-/// computes. `AxConv2D` with an **exact** LUT must match this bit-for-bit
-/// up to accumulator rounding; the paper: "the accuracy is the same as if
-/// we use the quantization followed by dequantization available in
-/// TensorFlow".
-///
-/// # Errors
-///
-/// Propagates shape errors.
-pub fn quantized_reference(
-    input: &Tensor<f32>,
-    spec: &ConvSpec<'_>,
-) -> Result<Tensor<f32>, EmuError> {
-    let exact = MulLut::exact(spec.lut.signedness());
-    let spec_exact = ConvSpec {
-        lut: &exact,
-        ..spec.clone()
-    };
-    let (out, _) = run_cpu_direct(input, &spec_exact, false)?;
-    Ok(out)
+    Ok((apply_bias(concat_parts(parts)?, spec.bias), profile))
 }
 
 #[cfg(test)]
@@ -617,7 +420,7 @@ mod tests {
     use super::*;
     use crate::Backend;
     use axmult::Signedness;
-    use axquant::{QuantRange, RoundMode};
+    use axquant::{FilterQuantization, QuantRange, RoundMode};
     use axtensor::{rng, FilterShape, Padding};
 
     fn spec<'a>(filter: &'a Filter, lut: &'a MulLut, geom: ConvGeometry) -> ConvSpec<'a> {
@@ -626,12 +429,56 @@ mod tests {
             geometry: geom,
             bias: None,
             lut,
-            input_q: QuantParams::from_range(-1.0, 1.0, QuantRange::i8(), RoundMode::NearestEven),
-            filter_q: Cow::Owned(
-                QuantParams::from_range(-0.5, 0.5, QuantRange::i8(), RoundMode::NearestEven).into(),
-            ),
             accumulator: Accumulator::Exact,
         }
+    }
+
+    fn input_q() -> QuantParams {
+        QuantParams::from_range(-1.0, 1.0, QuantRange::i8(), RoundMode::NearestEven)
+    }
+
+    fn plan_for(filter: &Filter) -> PreparedFilter {
+        let fq: FilterQuantization =
+            QuantParams::from_range(-0.5, 0.5, QuantRange::i8(), RoundMode::NearestEven).into();
+        PreparedFilter::from_filter(filter, &fq)
+    }
+
+    /// The host-GEMM runner on one segment covering the whole batch — a
+    /// solo call.
+    fn gemm_solo(
+        input: &Tensor<f32>,
+        s: &ConvSpec<'_>,
+        q: QuantParams,
+        plan: &PreparedFilter,
+        ctx: &EmuContext,
+    ) -> Tensor<f32> {
+        let single = SegmentTable::single(input.shape().n);
+        run_cpu_gemm_prepared(input, s, &[q], &single, plan, ctx)
+            .unwrap()
+            .0
+    }
+
+    /// Quantize → exact integer convolution → dequantize: what
+    /// TensorFlow's fake-quant path computes. With an exact LUT the LUT
+    /// product equals `i·f`, so the direct runner under the exact table of
+    /// the same signedness is that reference. `AxConv2D` with an **exact**
+    /// LUT must match it up to accumulator rounding; the paper: "the
+    /// accuracy is the same as if we use the quantization followed by
+    /// dequantization available in TensorFlow".
+    fn quantized_reference(
+        input: &Tensor<f32>,
+        s: &ConvSpec<'_>,
+        q: QuantParams,
+        plan: &PreparedFilter,
+    ) -> Tensor<f32> {
+        let exact = MulLut::exact(s.lut.signedness());
+        let spec_exact = ConvSpec {
+            lut: &exact,
+            ..s.clone()
+        };
+        run_cpu_direct_prepared(input, &spec_exact, q, plan)
+            .unwrap()
+            .0
     }
 
     fn close(a: &Tensor<f32>, b: &Tensor<f32>, tol: f32) -> bool {
@@ -642,6 +489,7 @@ mod tests {
     fn all_backends_agree_with_exact_lut() {
         let input = rng::uniform(Shape4::new(3, 7, 6, 3), 1, -1.0, 1.0);
         let filter = rng::uniform_filter(FilterShape::new(3, 3, 3, 5), 2, -0.5, 0.5);
+        let plan = plan_for(&filter);
         let lut = MulLut::exact(Signedness::Signed);
         for geom in [
             ConvGeometry::default(),
@@ -649,13 +497,13 @@ mod tests {
             ConvGeometry::default().with_padding(Padding::Valid),
         ] {
             let s = spec(&filter, &lut, geom);
-            let (direct, _) = run_cpu_direct(&input, &s, true).unwrap();
+            let (direct, _) = run_cpu_direct_prepared(&input, &s, input_q(), &plan).unwrap();
             let gemm_ctx = EmuContext::new(Backend::CpuGemm)
                 .with_chunk_size(2)
                 .unwrap();
-            let (gemm, _) = run_cpu_gemm(&input, &s, &gemm_ctx).unwrap();
+            let gemm = gemm_solo(&input, &s, input_q(), &plan, &gemm_ctx);
             let ctx = EmuContext::new(Backend::GpuSim).with_chunk_size(2).unwrap();
-            let (gpu, _) = run_gpusim(&input, &s, &ctx).unwrap();
+            let (gpu, _) = run_gpusim_prepared(&input, &s, input_q(), &plan, &ctx).unwrap();
             assert!(close(&direct, &gemm, 1e-4), "direct vs gemm, {geom:?}");
             assert!(close(&direct, &gpu, 1e-2), "direct vs gpu, {geom:?}");
         }
@@ -665,77 +513,55 @@ mod tests {
     fn backends_agree_with_approximate_lut() {
         let input = rng::uniform(Shape4::new(2, 6, 6, 2), 3, -1.0, 1.0);
         let filter = rng::uniform_filter(FilterShape::new(3, 3, 2, 4), 4, -0.5, 0.5);
+        let plan = plan_for(&filter);
         let bam = axmult::catalog::by_name("mul8s_bam_v8h0").unwrap();
         let s = spec(&filter, bam.lut(), ConvGeometry::default());
-        let (direct, _) = run_cpu_direct(&input, &s, true).unwrap();
+        let (direct, _) = run_cpu_direct_prepared(&input, &s, input_q(), &plan).unwrap();
         let gemm_ctx = EmuContext::new(Backend::CpuGemm)
             .with_chunk_size(1)
             .unwrap();
-        let (gemm, _) = run_cpu_gemm(&input, &s, &gemm_ctx).unwrap();
+        let gemm = gemm_solo(&input, &s, input_q(), &plan, &gemm_ctx);
         let ctx = EmuContext::new(Backend::GpuSim);
-        let (gpu, _) = run_gpusim(&input, &s, &ctx).unwrap();
+        let (gpu, _) = run_gpusim_prepared(&input, &s, input_q(), &plan, &ctx).unwrap();
         assert!(close(&direct, &gemm, 1e-4));
         assert!(close(&direct, &gpu, 1e-2));
-    }
-
-    #[test]
-    fn prepared_paths_match_standalone_wrappers() {
-        let input = rng::uniform(Shape4::new(3, 6, 6, 2), 17, -1.0, 1.0);
-        let filter = rng::uniform_filter(FilterShape::new(3, 3, 2, 4), 18, -0.5, 0.5);
-        let lut = MulLut::exact(Signedness::Signed);
-        let s = spec(&filter, &lut, ConvGeometry::default().with_stride(2));
-        let plan = PreparedFilter::from_filter(s.filter, &s.filter_q);
-
-        let (direct, _) = run_cpu_direct(&input, &s, true).unwrap();
-        let (direct_p, _) = run_cpu_direct_prepared(&input, &s, &plan, true).unwrap();
-        assert_eq!(direct, direct_p);
-
-        let ctx = EmuContext::new(Backend::CpuGemm)
-            .with_chunk_size(2)
-            .unwrap();
-        let (gemm, _) = run_cpu_gemm(&input, &s, &ctx).unwrap();
-        let (gemm_p, _) = run_cpu_gemm_prepared(&input, &s, &plan, &ctx).unwrap();
-        assert_eq!(gemm, gemm_p);
-
-        let gctx = EmuContext::new(Backend::GpuSim).with_chunk_size(2).unwrap();
-        let (gpu, _) = run_gpusim(&input, &s, &gctx).unwrap();
-        let (gpu_p, _) = run_gpusim_prepared(&input, &s, &plan, &gctx).unwrap();
-        assert_eq!(gpu, gpu_p);
     }
 
     #[test]
     fn zero_batch_returns_shaped_empty_output() {
         let input = Tensor::<f32>::zeros(Shape4::new(0, 6, 6, 2));
         let filter = rng::uniform_filter(FilterShape::new(3, 3, 2, 4), 19, -0.5, 0.5);
+        let plan = plan_for(&filter);
         let lut = MulLut::exact(Signedness::Signed);
         let bias = [0.5f32, -0.5, 1.0, 0.0];
         let mut s = spec(&filter, &lut, ConvGeometry::default());
         s.bias = Some(&bias);
         let expect = Shape4::new(0, 6, 6, 4);
 
-        let (direct, _) = run_cpu_direct(&input, &s, true).unwrap();
+        let (direct, _) = run_cpu_direct_prepared(&input, &s, input_q(), &plan).unwrap();
         assert_eq!(direct.shape(), expect);
         assert!(direct.as_slice().is_empty());
 
         let ctx = EmuContext::new(Backend::CpuGemm);
-        let (gemm, _) = run_cpu_gemm(&input, &s, &ctx).unwrap();
+        let gemm = gemm_solo(&input, &s, input_q(), &plan, &ctx);
         assert_eq!(gemm.shape(), expect);
         assert!(gemm.as_slice().is_empty());
 
         let gctx = EmuContext::new(Backend::GpuSim);
-        let (gpu, _) = run_gpusim(&input, &s, &gctx).unwrap();
+        let (gpu, _) = run_gpusim_prepared(&input, &s, input_q(), &plan, &gctx).unwrap();
         assert_eq!(gpu.shape(), expect);
         assert!(gpu.as_slice().is_empty());
     }
 
     #[test]
     fn fused_gemm_is_per_request_runs_chained() {
-        // The fused runner must be bit-identical to running each segment
-        // alone (with its own params) and concatenating — across chunk
-        // sizes that split requests and accumulator models, with an empty
-        // segment in the mix.
+        // The runner over a multi-segment batch must be bit-identical to
+        // running each segment alone (with its own params) and
+        // concatenating — across chunk sizes that split requests and
+        // accumulator models, with an empty segment in the mix.
         let input = rng::uniform(Shape4::new(7, 6, 6, 2), 51, -1.0, 1.0);
         let filter = rng::uniform_filter(FilterShape::new(3, 3, 2, 3), 52, -0.5, 0.5);
+        let plan = plan_for(&filter);
         let lut = MulLut::exact(Signedness::Signed);
         let segments = SegmentTable::from_counts(&[2, 0, 4, 1]);
         let seg_q: Vec<QuantParams> = segments
@@ -754,17 +580,15 @@ mod tests {
                 let mut s = spec(&filter, &lut, ConvGeometry::default());
                 s.bias = Some(&bias);
                 s.accumulator = accumulator;
-                let plan = PreparedFilter::from_filter(s.filter, &s.filter_q);
                 let (fused, _) =
-                    run_cpu_gemm_fused_prepared(&input, &s, &seg_q, &segments, &plan, &ctx)
-                        .unwrap();
-                let mut parts = Vec::new();
-                for (i, (a, b)) in segments.iter().enumerate() {
-                    let piece = input.batch_slice(a, b - a);
-                    let mut ss = s.clone();
-                    ss.input_q = seg_q[i];
-                    parts.push(run_cpu_gemm_prepared(&piece, &ss, &plan, &ctx).unwrap().0);
-                }
+                    run_cpu_gemm_prepared(&input, &s, &seg_q, &segments, &plan, &ctx).unwrap();
+                let parts: Vec<Tensor<f32>> = segments
+                    .iter()
+                    .enumerate()
+                    .map(|(i, (a, b))| {
+                        gemm_solo(&input.batch_slice(a, b - a), &s, seg_q[i], &plan, &ctx)
+                    })
+                    .collect();
                 let chained = Tensor::concat_batch(&parts).unwrap();
                 assert_eq!(fused, chained, "{accumulator:?} chunk {chunk}");
             }
@@ -775,14 +599,14 @@ mod tests {
     fn fused_gemm_rejects_mismatched_segments() {
         let input = rng::uniform(Shape4::new(3, 6, 6, 2), 53, -1.0, 1.0);
         let filter = rng::uniform_filter(FilterShape::new(3, 3, 2, 3), 54, -0.5, 0.5);
+        let plan = plan_for(&filter);
         let lut = MulLut::exact(Signedness::Signed);
         let s = spec(&filter, &lut, ConvGeometry::default());
-        let plan = PreparedFilter::from_filter(s.filter, &s.filter_q);
         let ctx = EmuContext::new(Backend::CpuGemm);
-        let err = run_cpu_gemm_fused_prepared(
+        let err = run_cpu_gemm_prepared(
             &input,
             &s,
-            &[s.input_q],
+            &[input_q()],
             &SegmentTable::from_counts(&[2]),
             &plan,
             &ctx,
@@ -814,10 +638,12 @@ mod tests {
     fn exact_lut_matches_quantized_reference() {
         let input = rng::uniform(Shape4::new(2, 8, 8, 3), 5, -1.0, 1.0);
         let filter = rng::uniform_filter(FilterShape::new(3, 3, 3, 4), 6, -0.5, 0.5);
+        let plan = plan_for(&filter);
         let lut = MulLut::exact(Signedness::Signed);
         let s = spec(&filter, &lut, ConvGeometry::default());
-        let (out, _) = run_cpu_direct(&input, &s, true).unwrap();
-        let reference = quantized_reference(&input, &s).unwrap();
+        let ctx = EmuContext::new(Backend::CpuGemm);
+        let out = gemm_solo(&input, &s, input_q(), &plan, &ctx);
+        let reference = quantized_reference(&input, &s, input_q(), &plan);
         assert!(close(&out, &reference, 1e-5));
     }
 
@@ -829,13 +655,15 @@ mod tests {
         // noise.
         let input = rng::uniform(Shape4::new(1, 8, 8, 3), 7, -1.0, 1.0);
         let filter = rng::uniform_filter(FilterShape::new(3, 3, 3, 4), 8, -0.5, 0.5);
+        let plan = plan_for(&filter);
         let lut = MulLut::exact(Signedness::Signed);
         let s = spec(&filter, &lut, ConvGeometry::default());
-        let (out, _) = run_cpu_direct(&input, &s, true).unwrap();
+        let (out, _) = run_cpu_direct_prepared(&input, &s, input_q(), &plan).unwrap();
         let float_ref = axtensor::ops::conv2d_direct(&input, &filter, s.geometry).unwrap();
         // 27-tap dot product of 8-bit quantized values: error stays well
         // below the combined quantization steps.
-        let bound = 27.0 * (s.input_q.scale() + s.filter_q.for_channel(0).scale());
+        let filter_scale = plan.col_q()[0].scale();
+        let bound = 27.0 * (input_q().scale() + filter_scale);
         assert!(
             out.max_abs_diff(&float_ref).unwrap() < bound,
             "diff {} vs bound {bound}",
@@ -847,28 +675,46 @@ mod tests {
     fn chunking_is_transparent() {
         let input = rng::uniform(Shape4::new(5, 6, 6, 2), 9, -1.0, 1.0);
         let filter = rng::uniform_filter(FilterShape::new(3, 3, 2, 3), 10, -0.5, 0.5);
+        let plan = plan_for(&filter);
         let lut = MulLut::exact(Signedness::Signed);
         let s = spec(&filter, &lut, ConvGeometry::default());
         let one_ctx = EmuContext::new(Backend::CpuGemm)
             .with_chunk_size(5)
             .unwrap();
-        let (one, _) = run_cpu_gemm(&input, &s, &one_ctx).unwrap();
+        let one = gemm_solo(&input, &s, input_q(), &plan, &one_ctx);
         let many_ctx = EmuContext::new(Backend::CpuGemm)
             .with_chunk_size(1)
             .unwrap();
-        let (many, _) = run_cpu_gemm(&input, &s, &many_ctx).unwrap();
-        assert!(close(&one, &many, 1e-6));
+        let many = gemm_solo(&input, &s, input_q(), &plan, &many_ctx);
+        assert_eq!(one, many);
+    }
+
+    #[test]
+    fn single_part_concat_is_the_part_itself() {
+        let part = rng::uniform(Shape4::new(2, 3, 3, 4), 12, -1.0, 1.0);
+        let ptr = part.as_slice().as_ptr();
+        let out = concat_parts(vec![part]).unwrap();
+        assert_eq!(
+            out.as_slice().as_ptr(),
+            ptr,
+            "a single part must not be copied"
+        );
+        let a = rng::uniform(Shape4::new(1, 3, 3, 4), 13, -1.0, 1.0);
+        let b = rng::uniform(Shape4::new(2, 3, 3, 4), 14, -1.0, 1.0);
+        let both = concat_parts(vec![a.clone(), b.clone()]).unwrap();
+        assert_eq!(both, Tensor::concat_batch(&[a, b]).unwrap());
     }
 
     #[test]
     fn bias_applied_after_dequantization() {
         let input = Tensor::<f32>::zeros(Shape4::new(1, 2, 2, 1));
         let filter = rng::uniform_filter(FilterShape::new(1, 1, 1, 2), 11, -0.5, 0.5);
+        let plan = plan_for(&filter);
         let lut = MulLut::exact(Signedness::Signed);
         let bias = [1.0f32, -2.0];
         let mut s = spec(&filter, &lut, ConvGeometry::default());
         s.bias = Some(&bias);
-        let (out, _) = run_cpu_direct(&input, &s, true).unwrap();
+        let (out, _) = run_cpu_direct_prepared(&input, &s, input_q(), &plan).unwrap();
         for px in out.as_slice().chunks(2) {
             assert!((px[0] - 1.0).abs() < 1e-6);
             assert!((px[1] + 2.0).abs() < 1e-6);
@@ -879,46 +725,13 @@ mod tests {
     fn gpusim_profile_attributes_lut_phase() {
         let input = rng::uniform(Shape4::new(1, 6, 6, 2), 13, -1.0, 1.0);
         let filter = rng::uniform_filter(FilterShape::new(3, 3, 2, 4), 14, -0.5, 0.5);
+        let plan = plan_for(&filter);
         let lut = MulLut::exact(Signedness::Signed);
         let s = spec(&filter, &lut, ConvGeometry::default());
         let ctx = EmuContext::new(Backend::GpuSim);
-        let (_, profile) = run_gpusim(&input, &s, &ctx).unwrap();
+        let (_, profile) = run_gpusim_prepared(&input, &s, input_q(), &plan, &ctx).unwrap();
         assert!(profile.seconds(Phase::LutLookup) > 0.0);
         assert!(profile.seconds(Phase::Quantization) > 0.0);
         assert!(profile.seconds(Phase::Other) > 0.0);
-    }
-
-    #[test]
-    fn gpusim_prepared_models_less_quantization() {
-        // The prepared path's modeled Quantization time must be strictly
-        // below the standalone path's, by exactly the plan's one-off
-        // filter-quantization charge.
-        let input = rng::uniform(Shape4::new(4, 6, 6, 2), 23, -1.0, 1.0);
-        let filter = rng::uniform_filter(FilterShape::new(3, 3, 2, 4), 24, -0.5, 0.5);
-        let lut = MulLut::exact(Signedness::Signed);
-        let s = spec(&filter, &lut, ConvGeometry::default());
-        let plan = PreparedFilter::from_filter(s.filter, &s.filter_q);
-        let ctx = EmuContext::new(Backend::GpuSim).with_chunk_size(2).unwrap();
-        let (_, standalone) = run_gpusim(&input, &s, &ctx).unwrap();
-        let (_, prepared) = run_gpusim_prepared(&input, &s, &plan, &ctx).unwrap();
-        let charge = ctx.device().seconds(&plan.quant_events());
-        let diff = standalone.seconds(Phase::Quantization) - prepared.seconds(Phase::Quantization);
-        assert!(
-            (diff - charge).abs() < 1e-12,
-            "diff {diff} vs one-off charge {charge}"
-        );
-    }
-
-    #[test]
-    fn accurate_gpusim_matches_float_reference() {
-        let input = rng::uniform(Shape4::new(2, 6, 6, 3), 15, -1.0, 1.0);
-        let filter = rng::uniform_filter(FilterShape::new(3, 3, 3, 4), 16, -0.5, 0.5);
-        let ctx = EmuContext::new(Backend::GpuSim);
-        let (out, profile) =
-            run_gpusim_accurate(&input, &filter, ConvGeometry::default(), None, &ctx).unwrap();
-        let reference =
-            axtensor::ops::conv2d_gemm(&input, &filter, ConvGeometry::default()).unwrap();
-        assert!(close(&out, &reference, 1e-6));
-        assert!(profile.total() > 0.0);
     }
 }

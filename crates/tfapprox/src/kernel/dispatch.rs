@@ -22,7 +22,7 @@
 //! order is the specified one; SIMD reassociation is reserved for the
 //! exact model, where i64 addition is associative.
 
-use super::{lut_gemm_tiled_seg, TileConfig};
+use super::{lut_gemm_tiled, TileConfig};
 use crate::accumulator::Accumulator;
 use crate::pool::WorkerPool;
 use crate::prepared::PreparedFilter;
@@ -204,9 +204,11 @@ fn effective(kernel: KernelKind, accumulator: Accumulator) -> KernelKind {
     }
 }
 
-/// Dispatch the single-segment LUT GEMM to `kernel` (see
-/// [`lut_gemm_dispatch_seg`]); bit-identical to
-/// [`super::lut_gemm_reference`] whichever arm runs.
+/// Dispatch the (segmented) LUT GEMM to `kernel`, downgrading to the
+/// scalar walker whenever the arm cannot handle the request (see
+/// [`KernelKind`] and the module docs). All arms produce bits identical
+/// to [`super::lut_gemm_reference`], so fused serving, sharding and
+/// conformance guarantees are kernel-independent.
 ///
 /// # Panics
 ///
@@ -214,42 +216,6 @@ fn effective(kernel: KernelKind, accumulator: Accumulator) -> KernelKind {
 #[must_use]
 #[allow(clippy::too_many_arguments)]
 pub fn lut_gemm_dispatch(
-    kernel: KernelKind,
-    patches: &Matrix<u8>,
-    patch_sums: &[i64],
-    plan: &PreparedFilter,
-    input_q: QuantParams,
-    lut: &MulLut,
-    accumulator: Accumulator,
-    tiles: TileConfig,
-    pool: &WorkerPool,
-) -> Vec<f32> {
-    lut_gemm_dispatch_seg(
-        kernel,
-        patches,
-        patch_sums,
-        plan,
-        std::slice::from_ref(&input_q),
-        &SegmentTable::single(patches.rows()),
-        lut,
-        accumulator,
-        tiles,
-        pool,
-    )
-}
-
-/// Dispatch the segmented LUT GEMM to `kernel`, downgrading to the
-/// scalar walker whenever the arm cannot handle the request (see
-/// [`KernelKind`] and the module docs). All arms produce bits identical
-/// to [`super::lut_gemm_reference_seg`], so fused serving, sharding and
-/// conformance guarantees are kernel-independent.
-///
-/// # Panics
-///
-/// As [`super::lut_gemm_tiled_seg`].
-#[must_use]
-#[allow(clippy::too_many_arguments)]
-pub fn lut_gemm_dispatch_seg(
     kernel: KernelKind,
     patches: &Matrix<u8>,
     patch_sums: &[i64],
@@ -264,9 +230,9 @@ pub fn lut_gemm_dispatch_seg(
     match effective(kernel, accumulator) {
         #[cfg(target_arch = "x86_64")]
         k @ (KernelKind::Avx2Gather | KernelKind::Avx512Vbmi) => {
-            super::simd::lut_gemm_simd_seg(k, patches, patch_sums, plan, seg_q, segments, lut, pool)
+            super::simd::lut_gemm_simd(k, patches, patch_sums, plan, seg_q, segments, lut, pool)
         }
-        _ => lut_gemm_tiled_seg(
+        _ => lut_gemm_tiled(
             patches,
             patch_sums,
             plan,

@@ -7,14 +7,14 @@
 //! in a fast read-only memory and batching lookups; this module is the
 //! CPU realization of that idea, structured as a small family:
 //!
-//! - [`lut_gemm_reference`] / [`lut_gemm_reference_seg`] — the untiled
-//!   per-row golden model every other arm is pinned against.
+//! - [`lut_gemm_reference`] — the untiled per-row golden model every
+//!   other arm is pinned against.
 //! - `scalar` (private) — the tiled, register-micro-tile walker
-//!   ([`lut_gemm_tiled`] / [`lut_gemm_tiled_seg`]): LUT-row hoisting,
-//!   `MC×KC×NC` cache blocking, [`MR`]-row register micro-tiles, and
-//!   contiguous-row-span thread sharding whose per-row fold order is
-//!   partition-independent (bit-identical across thread counts, even
-//!   under order-sensitive [`Accumulator`] models).
+//!   ([`lut_gemm_tiled`]): LUT-row hoisting, `MC×KC×NC` cache blocking,
+//!   [`MR`]-row register micro-tiles, and contiguous-row-span thread
+//!   sharding whose per-row fold order is partition-independent
+//!   (bit-identical across thread counts, even under order-sensitive
+//!   [`Accumulator`] models).
 //! - `simd` (private, x86-64 only) — vector panels that resolve 8–64
 //!   products per instruction from the [`axmult::SimdTables`] derived
 //!   layouts: an AVX2 `vpgatherdd` row-gather arm and an AVX-512 VBMI
@@ -26,14 +26,15 @@
 //!   with every non-scalar arm silently falling back to the scalar
 //!   walker when the accumulator model or the CPU rules it out.
 //!
-//! Both entry-point flavours come *segmented*
-//! ([`lut_gemm_reference_seg`], [`lut_gemm_tiled_seg`],
-//! [`dispatch::lut_gemm_dispatch_seg`]) threading a [`SegmentTable`]
-//! over the output rows: each row dequantizes under its own segment's
-//! input parameters via a precomputed [`SegmentEpilogue`](crate::prepared::SegmentEpilogue), so a fused
+//! Every entry point ([`lut_gemm_reference`], [`lut_gemm_tiled`],
+//! [`dispatch::lut_gemm_dispatch`]) is *segmented*: a [`SegmentTable`]
+//! over the output rows gives each row its own segment's input
+//! parameters via a precomputed
+//! [`SegmentEpilogue`](crate::prepared::SegmentEpilogue), so a fused
 //! multi-request batch runs as **one** blocked GEMM while staying
-//! bit-identical to per-request solo runs. The unsegmented names are
-//! thin single-segment wrappers.
+//! bit-identical to per-request solo runs. A solo call is the
+//! one-segment case: pass `SegmentTable::single(rows)` and one
+//! parameter set.
 
 pub mod dispatch;
 mod scalar;
@@ -166,41 +167,13 @@ fn check_seg_operands(
 
 /// The untiled LUT GEMM — one per-tap `lut_dot` fold per output element,
 /// walking the row-major patch matrix. Single-threaded; this is the
-/// golden model the tiled path is pinned against.
+/// golden model the tiled and SIMD arms are pinned against.
 ///
-/// A single-segment wrapper over [`lut_gemm_reference_seg`].
-///
-/// Returns the `rows × c_out` output, row-major (channel-contiguous).
-///
-/// # Panics
-///
-/// Panics if `patches.cols() != plan.k()` or
-/// `patch_sums.len() != patches.rows()`.
-#[must_use]
-pub fn lut_gemm_reference(
-    patches: &Matrix<u8>,
-    patch_sums: &[i64],
-    plan: &PreparedFilter,
-    input_q: QuantParams,
-    lut: &MulLut,
-    accumulator: Accumulator,
-) -> Vec<f32> {
-    lut_gemm_reference_seg(
-        patches,
-        patch_sums,
-        plan,
-        std::slice::from_ref(&input_q),
-        &SegmentTable::single(patches.rows()),
-        lut,
-        accumulator,
-    )
-}
-
-/// The untiled *segmented* LUT GEMM: row `r` dequantizes under the input
-/// parameters of the segment `segments` assigns it to. The fold over `K`
-/// is unchanged — segmentation only selects the Eq. 4 epilogue constants
-/// — so each row's bits equal a solo [`lut_gemm_reference`] run over its
-/// segment with `seg_q[s]`.
+/// Row `r` dequantizes under the input parameters of the segment
+/// `segments` assigns it to. The fold over `K` does not depend on the
+/// segment — segmentation only selects the Eq. 4 epilogue constants — so
+/// each row's bits equal a one-segment run over its own segment with
+/// `seg_q[s]`.
 ///
 /// Returns the `rows × c_out` output, row-major (channel-contiguous).
 ///
@@ -211,7 +184,7 @@ pub fn lut_gemm_reference(
 /// `segments.total() != patches.rows()`, or
 /// `seg_q.len() != segments.len()`.
 #[must_use]
-pub fn lut_gemm_reference_seg(
+pub fn lut_gemm_reference(
     patches: &Matrix<u8>,
     patch_sums: &[i64],
     plan: &PreparedFilter,
@@ -238,68 +211,28 @@ pub fn lut_gemm_reference_seg(
     out
 }
 
-/// The tiled, thread-sharded LUT GEMM over the row-major patch matrix
-/// (the same operand [`lut_gemm_reference`] consumes).
+/// The tiled, thread-sharded LUT GEMM — one blocked sweep over a
+/// (possibly multi-request) patch matrix, with each output row
+/// dequantized under its own segment's input parameters.
 ///
-/// A single-segment wrapper over [`lut_gemm_tiled_seg`].
-///
-/// Output rows are sharded across `pool`; each span is walked in
-/// [`TileConfig`] blocks by the register micro-tile kernel with the
-/// active LUT row hoisted out of the inner loop. For every output element
-/// the taps fold in ascending-`k` order exactly like the reference, so
-/// the result is bit-identical to [`lut_gemm_reference`] for **any**
-/// accumulator model and any thread count.
+/// Output rows are sharded across `pool` in contiguous spans; each span
+/// is walked in [`TileConfig`] blocks by the register micro-tile kernel
+/// with the active LUT row hoisted out of the inner loop. For every
+/// output element the taps fold in ascending-`k` order exactly like the
+/// reference, and the segment table only drives the Eq. 4 epilogue (a
+/// [`SegmentEpilogue`](crate::prepared::SegmentEpilogue) lookup), so the
+/// result is bit-identical to [`lut_gemm_reference`] for any accumulator
+/// model, tile shape, and thread count — and therefore to running each
+/// segment alone and concatenating.
 ///
 /// Returns the `rows × c_out` output, row-major (channel-contiguous).
 ///
 /// # Panics
 ///
-/// Panics if `patches.cols() != plan.k()` or
-/// `patch_sums.len() != patches.rows()`.
+/// As [`lut_gemm_reference`].
 #[must_use]
 #[allow(clippy::too_many_arguments)]
 pub fn lut_gemm_tiled(
-    patches: &Matrix<u8>,
-    patch_sums: &[i64],
-    plan: &PreparedFilter,
-    input_q: QuantParams,
-    lut: &MulLut,
-    accumulator: Accumulator,
-    tiles: TileConfig,
-    pool: &WorkerPool,
-) -> Vec<f32> {
-    lut_gemm_tiled_seg(
-        patches,
-        patch_sums,
-        plan,
-        std::slice::from_ref(&input_q),
-        &SegmentTable::single(patches.rows()),
-        lut,
-        accumulator,
-        tiles,
-        pool,
-    )
-}
-
-/// The tiled, thread-sharded *segmented* LUT GEMM — one fused blocked
-/// sweep over a multi-request patch matrix, with each output row
-/// dequantized under its own segment's input parameters.
-///
-/// The fold over `K` and the contiguous-row-span sharding are exactly
-/// those of [`lut_gemm_tiled`]; the segment table only drives the Eq. 4
-/// epilogue, via a [`SegmentEpilogue`](crate::prepared::SegmentEpilogue)
-/// lookup. The result is bit-identical to [`lut_gemm_reference_seg`] for
-/// any accumulator model, tile shape, and thread count — and therefore to
-/// running each segment alone and concatenating.
-///
-/// Returns the `rows × c_out` output, row-major (channel-contiguous).
-///
-/// # Panics
-///
-/// As [`lut_gemm_reference_seg`].
-#[must_use]
-#[allow(clippy::too_many_arguments)]
-pub fn lut_gemm_tiled_seg(
     patches: &Matrix<u8>,
     patch_sums: &[i64],
     plan: &PreparedFilter,
@@ -421,8 +354,16 @@ mod tests {
         let fs = FilterShape::new(3, 3, 5, 7);
         let (patches, sums, plan, input_q) = setup(53, fs, 11);
         let lut = MulLut::exact(Signedness::Signed);
-        let reference =
-            lut_gemm_reference(&patches, &sums, &plan, input_q, &lut, Accumulator::Exact);
+        let single = SegmentTable::single(patches.rows());
+        let reference = lut_gemm_reference(
+            &patches,
+            &sums,
+            &plan,
+            &[input_q],
+            &single,
+            &lut,
+            Accumulator::Exact,
+        );
         let pool = WorkerPool::new(2);
         for (mc, kc, nc) in [(1, 1, 1), (8, 16, 4), (64, 512, 16), (100, 100, 100)] {
             let tiles = TileConfig::new(mc, kc, nc).unwrap();
@@ -430,7 +371,8 @@ mod tests {
                 &patches,
                 &sums,
                 &plan,
-                input_q,
+                &[input_q],
+                &single,
                 &lut,
                 Accumulator::Exact,
                 tiles,
@@ -448,15 +390,25 @@ mod tests {
         let fs = FilterShape::new(3, 3, 4, 6);
         let (patches, sums, plan, input_q) = setup(29, fs, 3);
         let lut = MulLut::exact(Signedness::Signed);
+        let single = SegmentTable::single(patches.rows());
         for accumulator in [Accumulator::Saturating(12), Accumulator::Wrapping(10)] {
-            let reference = lut_gemm_reference(&patches, &sums, &plan, input_q, &lut, accumulator);
+            let reference = lut_gemm_reference(
+                &patches,
+                &sums,
+                &plan,
+                &[input_q],
+                &single,
+                &lut,
+                accumulator,
+            );
             for threads in [1, 3] {
                 let pool = WorkerPool::new(threads);
                 let tiled = lut_gemm_tiled(
                     &patches,
                     &sums,
                     &plan,
-                    input_q,
+                    &[input_q],
+                    &single,
                     &lut,
                     accumulator,
                     TileConfig::new(7, 5, 3).unwrap(),
@@ -478,7 +430,8 @@ mod tests {
                 &patches,
                 &sums,
                 &plan,
-                input_q,
+                &[input_q],
+                &SegmentTable::single(patches.rows()),
                 &lut,
                 Accumulator::Exact,
                 TileConfig::default(),
@@ -517,15 +470,8 @@ mod tests {
         let seg_q = seg_params();
         let lut = MulLut::exact(Signedness::Signed);
         for accumulator in [Accumulator::Exact, Accumulator::Saturating(12)] {
-            let fused = lut_gemm_reference_seg(
-                &patches,
-                &sums,
-                &plan,
-                &seg_q,
-                &segments,
-                &lut,
-                accumulator,
-            );
+            let fused =
+                lut_gemm_reference(&patches, &sums, &plan, &seg_q, &segments, &lut, accumulator);
             let mut chained = Vec::new();
             for (s, (start, end)) in segments.iter().enumerate() {
                 let sub = sub_matrix(&patches, start, end, fs.patch_len());
@@ -533,7 +479,8 @@ mod tests {
                     &sub,
                     &sums[start..end],
                     &plan,
-                    seg_q[s],
+                    &seg_q[s..=s],
+                    &SegmentTable::single(end - start),
                     &lut,
                     accumulator,
                 ));
@@ -555,18 +502,11 @@ mod tests {
             Accumulator::Saturating(12),
             Accumulator::Wrapping(10),
         ] {
-            let reference = lut_gemm_reference_seg(
-                &patches,
-                &sums,
-                &plan,
-                &seg_q,
-                &segments,
-                &lut,
-                accumulator,
-            );
+            let reference =
+                lut_gemm_reference(&patches, &sums, &plan, &seg_q, &segments, &lut, accumulator);
             for threads in [1, 3] {
                 let pool = WorkerPool::new(threads);
-                let tiled = lut_gemm_tiled_seg(
+                let tiled = lut_gemm_tiled(
                     &patches,
                     &sums,
                     &plan,
@@ -588,7 +528,7 @@ mod tests {
         let fs = FilterShape::new(1, 1, 2, 2);
         let (patches, sums, plan, input_q) = setup(4, fs, 2);
         let lut = MulLut::exact(Signedness::Signed);
-        let _ = lut_gemm_reference_seg(
+        let _ = lut_gemm_reference(
             &patches,
             &sums,
             &plan,
@@ -610,7 +550,8 @@ mod tests {
             &patches,
             &[],
             &plan,
-            input_q,
+            &[input_q],
+            &SegmentTable::single(0),
             &lut,
             Accumulator::Exact,
             TileConfig::default(),

@@ -51,7 +51,7 @@ use axquant::QuantParams;
 use axtensor::{Matrix, SegmentTable};
 use std::arch::x86_64::*;
 
-/// The segmented LUT GEMM on a SIMD arm, sharded over `pool` exactly
+/// The (segmented) LUT GEMM on a SIMD arm, sharded over `pool` exactly
 /// like the scalar walker (contiguous row spans, partition-independent
 /// bits).
 ///
@@ -61,9 +61,9 @@ use std::arch::x86_64::*;
 ///
 /// # Panics
 ///
-/// As [`super::lut_gemm_tiled_seg`].
+/// As [`super::lut_gemm_tiled`].
 #[allow(clippy::too_many_arguments)]
-pub(super) fn lut_gemm_simd_seg(
+pub(super) fn lut_gemm_simd(
     kernel: KernelKind,
     patches: &Matrix<u8>,
     patch_sums: &[i64],
@@ -575,7 +575,7 @@ pub(super) fn pick_simd_kernel() -> KernelKind {
 
 #[cfg(test)]
 mod tests {
-    use super::super::{lut_gemm_reference_seg, tests::setup_operands};
+    use super::super::{lut_gemm_reference, tests::setup_operands};
     use super::*;
     use crate::accumulator::Accumulator;
     use axtensor::FilterShape;
@@ -617,7 +617,7 @@ mod tests {
             let (patches, sums, plan, input_q, lut) = setup_operands(53, fs, 11, signedness);
             let seg_q = [input_q];
             let segments = SegmentTable::single(patches.rows());
-            let reference = lut_gemm_reference_seg(
+            let reference = lut_gemm_reference(
                 &patches,
                 &sums,
                 &plan,
@@ -632,7 +632,7 @@ mod tests {
                 }
                 for threads in [1, 3] {
                     let pool = WorkerPool::new(threads);
-                    let got = lut_gemm_simd_seg(
+                    let got = lut_gemm_simd(
                         kernel, &patches, &sums, &plan, &seg_q, &segments, &lut, &pool,
                     );
                     assert_eq!(got, reference, "{kernel:?} {signedness:?} x{threads}");

@@ -36,14 +36,18 @@
 //!   bit-identical-to-solo responses,
 //! - [`prelude`]: one `use tfapprox::prelude::*` for all of the above.
 //!
-//! Underneath sit the operator and engine layers:
+//! Underneath sits one execution path — session → transformed graph →
+//! operator → one runner per backend → segmented kernel — with no hidden
+//! legacy surface beside it:
 //!
 //! - [`AxConv2D`] / [`AxDense`]: the approximate operators — quantize per
 //!   Eq. 1, multiply through the LUT, accumulate, dequantize with the
-//!   Eq. 4 correction,
+//!   Eq. 4 correction. Each runs a batch as segments with their own input
+//!   ranges; a solo call is the one-segment case of the fused-batch path,
 //! - [`Backend`]: `CpuDirect` (the nested-loop approach of ALWANN
 //!   \[12\]), `CpuGemm` (im2col + GEMM on host threads), or `GpuSim`
 //!   (Algorithm 1 on the simulated CUDA-capable device from [`gpusim`]),
+//!   each with exactly one runner in [`backend`],
 //! - [`PreparedFilter`] and [`WorkerPool`]: the prepared-execution engine,
 //! - [`kernel`]: the tiled, thread-sharded LUT-GEMM microkernel behind
 //!   `CpuGemm` — cache-blocked per [`TileConfig`], with LUT rows hoisted
@@ -99,14 +103,6 @@ pub mod serve;
 pub mod session;
 pub mod sweep;
 
-// The pre-session free-function surface. Kept public so the equivalence
-// tests can pin `Session` bit-identical to the legacy path, but hidden
-// from the documented API: new code should compile a `Session`.
-#[doc(hidden)]
-pub mod flow;
-#[doc(hidden)]
-pub mod runtime;
-
 mod error;
 
 pub use accumulator::Accumulator;
@@ -118,12 +114,11 @@ pub use error::{EmuError, Error};
 pub use kernel::{auto_kernel, available_kernels, KernelKind, TileConfig};
 pub use pool::WorkerPool;
 pub use prepared::PreparedFilter;
-pub use runtime::{run_accurate_cpu, EmulationReport};
 pub use serve::{
     LatencyHistogram, RegistryStats, ServeConfig, ServeEngine, ServeError, ServeStats, SessionKey,
     SessionRegistry, TenantServeStats, Ticket,
 };
-pub use session::{Session, SessionBuilder};
+pub use session::{EmulationReport, Session, SessionBuilder};
 pub use sweep::sweep_uniform;
 
 /// Everything a session-driven caller needs, in one import.
@@ -140,12 +135,11 @@ pub mod prelude {
     pub use crate::error::Error;
     pub use crate::kernel::{available_kernels, KernelKind, TileConfig};
     pub use crate::pool::WorkerPool;
-    pub use crate::runtime::EmulationReport;
     pub use crate::serve::{
         ServeConfig, ServeEngine, ServeError, ServeStats, SessionKey, SessionRegistry,
         TenantServeStats, Ticket,
     };
-    pub use crate::session::{Session, SessionBuilder};
+    pub use crate::session::{EmulationReport, Session, SessionBuilder};
     pub use crate::sweep::sweep_uniform;
     pub use axmult::{AxMultiplier, Signedness};
 }

@@ -20,13 +20,13 @@
 //! multiplier, the gap grows with depth, and the approximate overhead is
 //! crippling on CPU but mild on GPU.
 
-use crate::runtime::{self, EmulationReport};
-use crate::{flow, Backend, EmuContext, EmuError};
+use crate::session::{gpu_init_seconds, CPU_INIT_S};
+use crate::{Backend, Error, Session};
 use axmult::AxMultiplier;
 use axnn::dataset::SyntheticCifar10;
 use axnn::resnet::{cifar_input_shape, ResNetConfig};
 use gpusim::{DeviceConfig, EventCounts, Phase, PhaseProfile};
-use std::sync::Arc;
+use std::time::Instant;
 
 /// Throughput model of a Xeon-class CPU host.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -48,7 +48,7 @@ impl CpuModel {
     #[must_use]
     pub fn xeon_e5_2620() -> Self {
         CpuModel {
-            init_s: runtime::CPU_INIT_S,
+            init_s: CPU_INIT_S,
             accurate_mac_per_s: 4.77e10,
             approx_mac_per_s: 4.0e8,
             lut_share: 0.28,
@@ -182,6 +182,11 @@ pub fn cpu_fig2_profile(model: &CpuModel, total_macs: u64) -> PhaseProfile {
 /// Functionally execute `sample_images` of the approximate network on the
 /// simulated GPU and scale the modeled computation to `images`.
 ///
+/// The sample runs through a compiled [`Session`], whose filter plans are
+/// built once at compile time: the scaled `tcomp` is `images /
+/// sample_images` times the sample's steady-state `tcomp`, with no
+/// one-off plan build multiplied in.
+///
 /// # Errors
 ///
 /// Propagates build/execution failures.
@@ -192,28 +197,24 @@ pub fn gpu_approx_times(
     images: usize,
     sample_images: usize,
     seed: u64,
-) -> Result<(ConfigTimes, PhaseProfile), EmuError> {
-    let graph = cfg.build(seed)?;
-    let ctx = Arc::new(
-        EmuContext::with_device(Backend::GpuSim, dev.clone())
-            .with_chunk_size(sample_images.max(1))?,
-    );
-    let (ax, _) = flow::approximate_graph(&graph, mult, &ctx)?;
-    let data = SyntheticCifar10::new(seed);
-    let batch = data.batch_sized(0, sample_images.max(1));
-    let (_, report) = runtime::run_approx(&ax, &[batch], &ctx)?;
+) -> Result<(ConfigTimes, PhaseProfile), Error> {
+    let sample = sample_images.max(1);
+    let session = Session::builder()
+        .backend(Backend::GpuSim)
+        .device(dev.clone())
+        .chunk_size(sample)
+        .multiplier(mult)
+        .compile(&cfg.build(seed)?)?;
+    let batch = SyntheticCifar10::new(seed).batch_sized(0, sample);
+    let (_, report) = session.infer_batches(&[batch])?;
 
-    let factor = images as f64 / sample_images.max(1) as f64;
-    // Scale comp phases; recompute init for the full dataset.
-    let mut profile = report.profile;
-    // Remove the sample-sized init before scaling, then re-add full init.
+    // Scale the comp phases; re-add init for the full dataset.
     let mut comp_only = PhaseProfile::new();
     for phase in [Phase::Quantization, Phase::LutLookup, Phase::Other] {
-        comp_only.add(phase, profile.seconds(phase));
+        comp_only.add(phase, report.profile.seconds(phase));
     }
-    profile = comp_only.scaled_comp(factor);
-    let tinit = dev.context_init_s
-        + dev.transfer_seconds(dataset_bytes(images) + axmult::lut::LUT_BYTES as u64);
+    let mut profile = comp_only.scaled_comp(images as f64 / sample as f64);
+    let tinit = gpu_init_seconds(dev, dataset_bytes(images));
     profile.add(Phase::Init, tinit);
     Ok((
         ConfigTimes {
@@ -237,7 +238,7 @@ pub fn table1_row(
     images: usize,
     sample_images: usize,
     seed: u64,
-) -> Result<Table1Row, EmuError> {
+) -> Result<Table1Row, Error> {
     let cfg = ResNetConfig::with_depth(depth)?;
     let macs_per_image = cfg.build(seed)?.mac_count(cifar_input_shape(1))?;
     let total_macs = macs_per_image * images as u64;
@@ -287,7 +288,9 @@ impl MeasuredRow {
     }
 }
 
-/// Measure the real backends on `sample_images` and scale.
+/// Measure the real backends on `sample_images` and scale: the accurate
+/// f32 graph is one timed `Graph::forward`, each emulated backend one
+/// compiled [`Session`]'s measured `tcomp`.
 ///
 /// # Errors
 ///
@@ -298,32 +301,34 @@ pub fn measured_row(
     images: usize,
     sample_images: usize,
     seed: u64,
-) -> Result<MeasuredRow, EmuError> {
+) -> Result<MeasuredRow, Error> {
     let cfg = ResNetConfig::with_depth(depth)?;
     let graph = cfg.build(seed)?;
     let macs_per_image = graph.mac_count(cifar_input_shape(1))?;
-    let data = SyntheticCifar10::new(seed);
-    let batch = data.batch_sized(0, sample_images);
+    let batch = SyntheticCifar10::new(seed).batch_sized(0, sample_images);
     let factor = images as f64 / sample_images as f64;
 
-    let (_, acc) = runtime::run_accurate_cpu(&graph, std::slice::from_ref(&batch))?;
+    let wall = Instant::now();
+    graph.forward(&batch)?;
+    let accurate_s = wall.elapsed().as_secs_f64();
 
-    let run_backend = |backend: Backend| -> Result<EmulationReport, EmuError> {
-        let ctx = Arc::new(EmuContext::new(backend).with_chunk_size(sample_images)?);
-        let (ax, _) = flow::approximate_graph(&graph, mult, &ctx)?;
-        let (_, report) = runtime::run_approx(&ax, std::slice::from_ref(&batch), &ctx)?;
-        Ok(report)
+    let emulated_s = |backend: Backend| -> Result<f64, Error> {
+        let session = Session::builder()
+            .backend(backend)
+            .chunk_size(sample_images)
+            .multiplier(mult)
+            .compile(&graph)?;
+        let (_, report) = session.infer_batches(std::slice::from_ref(&batch))?;
+        Ok(report.tcomp)
     };
-    let direct = run_backend(Backend::CpuDirect)?;
-    let gemm = run_backend(Backend::CpuGemm)?;
 
     Ok(MeasuredRow {
         depth,
         macs_per_image,
         images,
-        accurate_cpu_s: acc.tcomp * factor,
-        cpu_direct_s: direct.tcomp * factor,
-        cpu_gemm_s: gemm.tcomp * factor,
+        accurate_cpu_s: accurate_s * factor,
+        cpu_direct_s: emulated_s(Backend::CpuDirect)? * factor,
+        cpu_gemm_s: emulated_s(Backend::CpuGemm)? * factor,
     })
 }
 
@@ -381,6 +386,37 @@ mod tests {
         assert!(row.speedup_accurate() > 1.0);
         assert!(row.speedup_approx() > 30.0, "{}", row.speedup_approx());
         assert!(row.approx_overhead_cpu() > 10.0 * row.approx_overhead_gpu());
+    }
+
+    #[test]
+    fn gpu_tcomp_scales_the_steady_state_sample() {
+        // The scaled computation time is exactly images × the 1-image
+        // sample's tcomp as a freshly compiled session reports it: the
+        // one-off filter-plan build is paid at compile time and never
+        // multiplied by the scale factor.
+        let mult = axmult::catalog::by_name("mul8s_bam_v8h0").unwrap();
+        let dev = DeviceConfig::gtx1080();
+        let cfg = ResNetConfig::with_depth(8).unwrap();
+        let images = 10_000;
+        let (times, _) = gpu_approx_times(cfg, &mult, &dev, images, 1, 42).unwrap();
+
+        let session = Session::builder()
+            .backend(Backend::GpuSim)
+            .device(dev.clone())
+            .chunk_size(1)
+            .multiplier(&mult)
+            .compile(&cfg.build(42).unwrap())
+            .unwrap();
+        let batch = SyntheticCifar10::new(42).batch_sized(0, 1);
+        let (_, sample) = session.infer_batches(&[batch]).unwrap();
+        let expected = images as f64 * sample.tcomp;
+        let rel = (times.tcomp - expected).abs() / expected;
+        assert!(
+            rel < 1e-9,
+            "tcomp {} vs {images} x sample {} (rel {rel})",
+            times.tcomp,
+            sample.tcomp
+        );
     }
 
     #[test]

@@ -41,10 +41,6 @@ pub struct PreparedFilter {
     f_bytes_by_channel: Vec<u8>,
     /// Per-output-channel logical sums `Sf` of the Eq. 4 correction.
     sf: Vec<i64>,
-    /// The quantization this plan was resolved from, kept so per-call
-    /// spec construction can borrow it instead of re-deriving (and, for
-    /// per-channel layers, re-scanning the filter bank).
-    filter_q: FilterQuantization,
 }
 
 impl PreparedFilter {
@@ -91,7 +87,6 @@ impl PreparedFilter {
             f_bytes,
             f_bytes_by_channel,
             sf,
-            filter_q: quant.clone(),
         }
     }
 
@@ -141,12 +136,6 @@ impl PreparedFilter {
     #[must_use]
     pub fn sf(&self) -> &[i64] {
         &self.sf
-    }
-
-    /// The filter quantization this plan was resolved from.
-    #[must_use]
-    pub fn filter_quantization(&self) -> &FilterQuantization {
-        &self.filter_q
     }
 
     /// The modeled device work of quantizing this filter bank once — what

@@ -72,6 +72,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             report.profile.fraction(phase) * 100.0
         );
     }
-    println!("report JSON: {}", report.to_json());
+    println!(
+        "report: backend {}, kernel {}, {} images, total {:.4}s",
+        report.backend,
+        report.kernel,
+        report.images,
+        report.total()
+    );
     Ok(())
 }

@@ -21,7 +21,7 @@ use axmult::{AxMultiplier, Signedness};
 use axnn::layers::Conv2D;
 use axnn::Graph;
 use axquant::{FilterQuantization, QuantParams, QuantRange, RoundMode};
-use axtensor::{ops, rng, ConvGeometry, Filter, FilterShape, Shape4, Tensor};
+use axtensor::{ops, rng, ConvGeometry, Filter, FilterShape, SegmentTable, Shape4, Tensor};
 use gpusim::kernels::im2col::{im2col_quant, PatchSumStrategy};
 use std::sync::Arc;
 use tfapprox::kernel::lut_gemm_reference;
@@ -106,7 +106,8 @@ fn golden_conv(
         &patches.matrix,
         &patches.patch_sums,
         &plan,
-        input_q,
+        &[input_q],
+        &SegmentTable::single(patches.matrix.rows()),
         mult.lut(),
         accumulator,
     );

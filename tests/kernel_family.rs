@@ -12,8 +12,8 @@ use axquant::{QuantParams, QuantRange, RoundMode};
 use axtensor::{rng, FilterShape, Matrix, SegmentTable};
 use proptest::prelude::*;
 use std::sync::OnceLock;
-use tfapprox::kernel::dispatch::{lut_gemm_dispatch, lut_gemm_dispatch_seg};
-use tfapprox::kernel::{lut_gemm_reference, lut_gemm_reference_seg, TileConfig};
+use tfapprox::kernel::dispatch::lut_gemm_dispatch;
+use tfapprox::kernel::{lut_gemm_reference, TileConfig};
 use tfapprox::{available_kernels, Accumulator, KernelKind, PreparedFilter, WorkerPool};
 
 /// The full multiplier catalog, built once for the whole suite (the
@@ -84,7 +84,7 @@ fn input_q_for(segment: usize) -> QuantParams {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Single-segment entry point: every available kernel × every catalog
+    /// One segment (a solo call): every available kernel × every catalog
     /// multiplier × every accumulator model equals the reference.
     #[test]
     fn every_kernel_matches_the_reference(
@@ -97,7 +97,8 @@ proptest! {
     ) {
         let fs = filter_shape(shape_ix, c_out);
         let plan = plan_for(fs, seed);
-        let input_q = input_q_for(0);
+        let input_q = [input_q_for(0)];
+        let single = SegmentTable::single(rows);
         let tiles = if small_tiles {
             TileConfig::new(3, 7, 2).unwrap()
         } else {
@@ -108,12 +109,12 @@ proptest! {
             let (patches, sums) = patches_for(rows, fs.patch_len(), seed, mult.lut().signedness());
             for accumulator in accumulators() {
                 let reference = lut_gemm_reference(
-                    &patches, &sums, &plan, input_q, mult.lut(), accumulator,
+                    &patches, &sums, &plan, &input_q, &single, mult.lut(), accumulator,
                 );
                 for kernel in available_kernels() {
                     let out = lut_gemm_dispatch(
-                        kernel, &patches, &sums, &plan, input_q, mult.lut(), accumulator,
-                        tiles, &pool,
+                        kernel, &patches, &sums, &plan, &input_q, &single, mult.lut(),
+                        accumulator, tiles, &pool,
                     );
                     prop_assert_eq!(
                         &out, &reference,
@@ -125,7 +126,7 @@ proptest! {
         }
     }
 
-    /// Segmented entry point: random segment layouts (zero-length
+    /// Random segment layouts (zero-length
     /// segments included) with per-segment quantization, every kernel ×
     /// every accumulator on a signed and an unsigned catalog multiplier.
     #[test]
@@ -146,11 +147,11 @@ proptest! {
             patches_for(segments.total(), fs.patch_len(), seed, mult.lut().signedness());
         let pool = WorkerPool::new(threads);
         for accumulator in accumulators() {
-            let reference = lut_gemm_reference_seg(
+            let reference = lut_gemm_reference(
                 &patches, &sums, &plan, &seg_q, &segments, mult.lut(), accumulator,
             );
             for kernel in available_kernels() {
-                let out = lut_gemm_dispatch_seg(
+                let out = lut_gemm_dispatch(
                     kernel, &patches, &sums, &plan, &seg_q, &segments, mult.lut(),
                     accumulator, TileConfig::default(), &pool,
                 );
@@ -212,19 +213,22 @@ fn check_against_reference(
 ) {
     let seed = (rows * 1000 + k) as u64;
     let plan = plan_for(FilterShape::new(1, 1, k, 2), seed);
-    let input_q = input_q_for(0);
+    let input_q = [input_q_for(0)];
+    let single = SegmentTable::single(rows);
     let pool = WorkerPool::new(threads);
     for lut in luts {
         let (patches, sums) = patches_for(rows, k, seed, lut.signedness());
         for &accumulator in accumulators {
-            let reference = lut_gemm_reference(&patches, &sums, &plan, input_q, lut, accumulator);
+            let reference =
+                lut_gemm_reference(&patches, &sums, &plan, &input_q, &single, lut, accumulator);
             for kernel in available_kernels() {
                 let out = lut_gemm_dispatch(
                     kernel,
                     &patches,
                     &sums,
                     &plan,
-                    input_q,
+                    &input_q,
+                    &single,
                     lut,
                     accumulator,
                     TileConfig::default(),

@@ -5,7 +5,7 @@
 
 use axmult::{AxMultiplier, MulLut, Signedness};
 use axquant::{QuantParams, QuantRange, RoundMode};
-use axtensor::{rng, ConvGeometry, FilterShape, Matrix, Padding, Shape4, Tensor};
+use axtensor::{rng, ConvGeometry, FilterShape, Matrix, Padding, SegmentTable, Shape4, Tensor};
 use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};
 use tfapprox::kernel::{lut_gemm_reference, lut_gemm_tiled, TileConfig};
@@ -100,7 +100,8 @@ proptest! {
         let sums: Vec<i64> = (0..rows)
             .map(|r| patches.row(r).iter().map(|&b| i64::from(b as i8)).sum())
             .collect();
-        let input_q = QuantParams::from_range(-1.0, 1.0, QuantRange::i8(), RoundMode::NearestEven);
+        let input_q = [QuantParams::from_range(-1.0, 1.0, QuantRange::i8(), RoundMode::NearestEven)];
+        let single = SegmentTable::single(rows);
         let filter = rng::uniform_filter(fs, seed ^ 5, -0.5, 0.5);
         let plan = PreparedFilter::from_filter(
             &filter,
@@ -114,10 +115,11 @@ proptest! {
         let pool = WorkerPool::new(threads);
         for mult in catalog() {
             let reference = lut_gemm_reference(
-                &patches, &sums, &plan, input_q, mult.lut(), Accumulator::Exact,
+                &patches, &sums, &plan, &input_q, &single, mult.lut(), Accumulator::Exact,
             );
             let tiled = lut_gemm_tiled(
-                &patches, &sums, &plan, input_q, mult.lut(), Accumulator::Exact, tiles, &pool,
+                &patches, &sums, &plan, &input_q, &single, mult.lut(), Accumulator::Exact,
+                tiles, &pool,
             );
             prop_assert_eq!(tiled, reference, "tiled != untiled on {}", mult.name());
         }

@@ -1,17 +1,10 @@
-//! The compiled-session equivalence suite.
-//!
-//! `Session` is a facade over the legacy free-function surface
-//! (`flow::approximate_graph` + `runtime::run_approx`), so it must be
-//! **bit-identical** to it — same transform, same plans, same arithmetic
-//! — on every backend. These tests are the one sanctioned consumer of
-//! the `#[doc(hidden)]` legacy modules outside tfapprox internals.
+//! Compiled-session invariants: builder validation, thread- and
+//! tile-invariance of the host GEMM, and `reassign`'s plan reuse.
 
 use axnn::resnet::{cifar_input_shape, ResNetConfig};
 use axtensor::{rng, Tensor};
 use proptest::prelude::*;
-use std::sync::Arc;
 use tfapprox::prelude::*;
-use tfapprox::{flow, runtime};
 
 fn exact() -> AxMultiplier {
     axmult::catalog::by_name("mul8s_exact").unwrap()
@@ -23,50 +16,6 @@ fn rough() -> AxMultiplier {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// `Session::infer_batches` produces bit-identical outputs to the
-    /// legacy `flow::approximate_graph` + `runtime::run_approx` path on
-    /// all three backends, across seeds, multipliers, chunk sizes and
-    /// batch splits.
-    #[test]
-    fn session_bit_identical_to_legacy_path(
-        seed in 0u64..500,
-        use_rough in any::<bool>(),
-        chunk in 1usize..4,
-        two_batches in any::<bool>(),
-    ) {
-        let graph = ResNetConfig::with_depth(8).unwrap().build(seed).unwrap();
-        let mult = if use_rough { rough() } else { exact() };
-        let mut batches = vec![rng::uniform(cifar_input_shape(2), seed ^ 21, -1.0, 1.0)];
-        if two_batches {
-            batches.push(rng::uniform(cifar_input_shape(1), seed ^ 22, -1.0, 1.0));
-        }
-
-        for backend in [Backend::CpuDirect, Backend::CpuGemm, Backend::GpuSim] {
-            // Legacy: transform, then run batch-wise.
-            let ctx = Arc::new(EmuContext::new(backend).with_chunk_size(chunk).unwrap());
-            let (ax, replaced) = flow::approximate_graph(&graph, &mult, &ctx).unwrap();
-            let (legacy_out, legacy_rep) = runtime::run_approx(&ax, &batches, &ctx).unwrap();
-
-            // Session: compile, then run the same batches.
-            let session = Session::builder()
-                .backend(backend)
-                .chunk_size(chunk)
-                .multiplier(&mult)
-                .compile(&graph)
-                .unwrap();
-            let (out, rep) = session.infer_batches(&batches).unwrap();
-
-            prop_assert_eq!(session.replaced_layers(), replaced);
-            prop_assert_eq!(out.len(), legacy_out.len());
-            for (a, b) in out.iter().zip(&legacy_out) {
-                // Bit-identical: same shapes, same f32 bits.
-                prop_assert_eq!(a, b, "session != legacy on {:?}", backend);
-            }
-            prop_assert_eq!(rep.images, legacy_rep.images);
-            prop_assert_eq!(rep.backend, legacy_rep.backend);
-        }
-    }
 
     /// The builder rejects zero chunk sizes and thread counts as
     /// compile-time errors, and accepts every positive value.
