@@ -1,5 +1,6 @@
 //! The `(scale, zero_point)` pair and its computation from a value range.
 
+use crate::round::ROUND_WINDOW;
 use crate::RoundMode;
 use serde::{Deserialize, Serialize};
 
@@ -33,13 +34,20 @@ impl QuantRange {
     ///
     /// # Panics
     ///
-    /// Panics unless `qmin < qmax` and the range contains 0.
+    /// Panics unless `qmin < qmax`, the range contains 0, and it is at
+    /// most `2²²` steps wide (the rounding window of
+    /// [`crate::RoundMode::round`], which keeps
+    /// [`QuantParams::quantize`] exact and overflow-free).
     #[must_use]
     pub fn custom(qmin: i32, qmax: i32) -> Self {
         assert!(qmin < qmax, "empty quantized range");
         assert!(
             qmin <= 0 && 0 <= qmax,
             "range must contain 0 for an exact zero-point"
+        );
+        assert!(
+            f64::from(qmax) - f64::from(qmin) <= f64::from(ROUND_WINDOW),
+            "quantized range wider than 2^22 steps"
         );
         QuantRange { qmin, qmax }
     }
@@ -158,10 +166,23 @@ impl QuantParams {
     }
 
     /// Quantize a real value: `i = clamp(round(r/α) + β)`.
+    ///
+    /// [`RoundMode::round`] clamps `r/α` into its `±2²²` window before
+    /// rounding. A quantized range is at most `2²²` steps wide and
+    /// contains `β`, so any `r/α` beyond the window clamps to the range
+    /// end anyway: the result equals the formula evaluated in unbounded
+    /// integers for every input (`±inf` included; NaN quantizes to `β`,
+    /// like 0), and `round(r/α) + β` cannot overflow. Branch-free;
+    /// [`QuantParams::quantize_into`] runs it as a vectorized slice loop.
     #[inline]
     #[must_use]
     pub fn quantize(&self, r: f32) -> i32 {
-        let q = self.round.round(r / self.scale) + self.zero_point;
+        self.quantize_under(self.round, r)
+    }
+
+    #[inline(always)]
+    fn quantize_under(&self, mode: RoundMode, r: f32) -> i32 {
+        let q = mode.round(r / self.scale) + self.zero_point;
         q.clamp(self.range.qmin(), self.range.qmax())
     }
 
@@ -193,10 +214,30 @@ impl QuantParams {
             .collect()
     }
 
-    /// Quantize a slice into logical integer values.
-    #[must_use]
-    pub fn quantize_slice(&self, xs: &[f32]) -> Vec<i32> {
-        xs.iter().map(|&x| self.quantize(x)).collect()
+    /// Quantize a slice into logical integer values: `out[i]` is
+    /// [`QuantParams::quantize`] of `xs[i]`. The round mode is resolved
+    /// once, outside the loop, so the loop body is branch-free and
+    /// vectorizes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices differ in length.
+    pub fn quantize_into(&self, xs: &[f32], out: &mut [i32]) {
+        assert_eq!(xs.len(), out.len(), "one output per input");
+        macro_rules! under {
+            ($mode:expr) => {
+                for (slot, &x) in out.iter_mut().zip(xs) {
+                    *slot = self.quantize_under($mode, x);
+                }
+            };
+        }
+        match self.round {
+            RoundMode::NearestEven => under!(RoundMode::NearestEven),
+            RoundMode::NearestAway => under!(RoundMode::NearestAway),
+            RoundMode::Floor => under!(RoundMode::Floor),
+            RoundMode::Ceil => under!(RoundMode::Ceil),
+            RoundMode::TowardZero => under!(RoundMode::TowardZero),
+        }
     }
 
     /// Quantize a slice directly to 8-bit byte patterns (two's-complement
@@ -306,6 +347,227 @@ mod tests {
     fn custom_range_steps() {
         let r = QuantRange::custom(-8, 7);
         assert_eq!(r.steps(), 15);
+    }
+
+    /// The per-mode rounding from before the rounding window, widened to
+    /// `i64` (saturating only beyond `±2⁶³`).
+    fn old_round(p: &QuantParams, r: f32) -> i64 {
+        let x = r / p.scale();
+        match p.round_mode() {
+            RoundMode::NearestEven => {
+                if (x - x.trunc()).abs() == 0.5 {
+                    let down = x.floor();
+                    if (down as i64) % 2 == 0 {
+                        down as i64
+                    } else {
+                        x.ceil() as i64
+                    }
+                } else {
+                    x.round() as i64
+                }
+            }
+            RoundMode::NearestAway => x.round() as i64,
+            RoundMode::Floor => x.floor() as i64,
+            RoundMode::Ceil => x.ceil() as i64,
+            RoundMode::TowardZero => x.trunc() as i64,
+        }
+    }
+
+    /// The quantizer before the rounding window, computed in `i64` so
+    /// that adding the zero-point cannot wrap: the exact formula
+    /// `clamp(round(r/α) + β)` for every input.
+    fn oracle(p: &QuantParams, r: f32) -> i32 {
+        let (lo, hi) = (p.range().qmin(), p.range().qmax());
+        old_round(p, r)
+            .saturating_add(i64::from(p.zero_point()))
+            .clamp(i64::from(lo), i64::from(hi)) as i32
+    }
+
+    const MODES: [RoundMode; 5] = [
+        RoundMode::NearestEven,
+        RoundMode::NearestAway,
+        RoundMode::Floor,
+        RoundMode::Ceil,
+        RoundMode::TowardZero,
+    ];
+
+    /// i8 and u8 parameter sets: observed ranges (zero-point at either
+    /// end and inside) and explicit parts, including power-of-two scales
+    /// under which `r/α` hits every tie exactly, and scales tiny or huge
+    /// enough that ordinary inputs leave the rounding window.
+    fn param_sets() -> Vec<QuantParams> {
+        let mut sets = Vec::new();
+        for mode in MODES {
+            for (lo, hi, range) in [
+                (-1.0f32, 1.0f32, QuantRange::i8()),
+                (-1.0, 0.0, QuantRange::i8()),
+                (0.0, 3.0, QuantRange::i8()),
+                (0.0, 4.0, QuantRange::u8()),
+                (-3.0, 5.0, QuantRange::u8()),
+                (-0.1, 0.0, QuantRange::u8()),
+            ] {
+                sets.push(QuantParams::from_range(lo, hi, range, mode));
+            }
+            for (scale, zp, range) in [
+                (1.0f32, 0, QuantRange::i8()),
+                (0.25, -5, QuantRange::i8()),
+                (0.5, 127, QuantRange::i8()),
+                (2.0, 200, QuantRange::u8()),
+                (0.37, 3, QuantRange::u8()),
+                (1e-30, -128, QuantRange::i8()),
+                (1e30, 255, QuantRange::u8()),
+            ] {
+                sets.push(QuantParams::from_parts(scale, zp, range, mode));
+            }
+        }
+        sets
+    }
+
+    fn assert_matches_oracle(p: &QuantParams, r: f32) {
+        assert_eq!(
+            p.quantize(r),
+            oracle(p, r),
+            "r = {r:e} ({:#010x}) under {p:?}",
+            r.to_bits()
+        );
+    }
+
+    /// Step `ulps` representable f32s away from `r` (across zero too).
+    fn ulp_step(r: f32, ulps: i32) -> f32 {
+        // Map the bit patterns onto one monotone integer line.
+        let bits = r.to_bits() as i32;
+        let line = if bits < 0 { i32::MIN - bits } else { bits };
+        let moved = line.saturating_add(ulps);
+        f32::from_bits((if moved < 0 { i32::MIN - moved } else { moved }) as u32)
+    }
+
+    #[test]
+    fn quantize_matches_oracle_around_every_tie() {
+        for p in param_sets() {
+            let (lo, hi) = (p.range().qmin(), p.range().qmax());
+            // Every half-integer `k + 0.5` of the quantized window in
+            // `r/α` units, one step past each end included.
+            for k in (lo - p.zero_point() - 1)..=(hi - p.zero_point()) {
+                let tie = (k as f32 + 0.5) * p.scale();
+                for ulps in -64..=64 {
+                    assert_matches_oracle(&p, ulp_step(tie, ulps));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn quantize_matches_oracle_on_special_values() {
+        let mut specials = vec![
+            0.0f32,
+            f32::from_bits(1),
+            f32::from_bits(0x007F_FFFF),
+            f32::MIN_POSITIVE,
+            f32::EPSILON,
+            0.5,
+            1.0,
+            4_194_303.5,
+            4_194_304.0,
+            4_194_304.5,
+            8_388_608.0,
+            2_147_483_648.0,
+            1e9,
+            1e30,
+            f32::MAX,
+            f32::INFINITY,
+        ];
+        specials.extend(specials.clone().iter().map(|v| -v));
+        specials.push(f32::NAN);
+        specials.push(-f32::NAN);
+        for p in param_sets() {
+            for &r in &specials {
+                assert_matches_oracle(&p, r);
+            }
+            assert_eq!(p.quantize(f32::NAN), p.zero_point(), "{p:?}");
+            assert_eq!(p.quantize(f32::INFINITY), p.range().qmax(), "{p:?}");
+            assert_eq!(p.quantize(f32::NEG_INFINITY), p.range().qmin(), "{p:?}");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn quantize_matches_oracle_on_random_bit_patterns(bits in 0u32..u32::MAX) {
+            let r = f32::from_bits(bits);
+            for p in param_sets() {
+                assert_matches_oracle(&p, r);
+            }
+        }
+    }
+
+    #[test]
+    fn huge_quotients_clamp_instead_of_wrapping() {
+        // zero-point 127: before the rounding window, `round(1e9)`
+        // saturated to i32::MAX and `+ 127` wrapped to −128 in release
+        // (and panicked in debug).
+        let p = QuantParams::from_range(-1.0, 0.0, QuantRange::i8(), RoundMode::NearestEven);
+        assert_eq!(p.zero_point(), 127);
+        assert_eq!(p.quantize(1e9), 127);
+        assert_eq!(p.quantize(f32::MAX), 127);
+        assert_eq!(p.quantize(-1e9), -128);
+        let u = QuantParams::from_range(-0.1, 0.0, QuantRange::u8(), RoundMode::NearestEven);
+        assert_eq!(u.zero_point(), 255);
+        assert_eq!(u.quantize(1e10), 255);
+        assert_eq!(u.quantize(-1e10), 0);
+    }
+
+    /// Every f32 bit pattern through three parameter sets, against the
+    /// oracle — about a minute per set on two cores in release, so run on
+    /// demand:
+    /// `cargo test --release -p axquant -- --ignored --nocapture`.
+    /// Prints, per set, how many inputs the pre-window i32 formula got
+    /// wrong (its `+ β` overflowed) next to the mismatches of
+    /// [`QuantParams::quantize`], which must be 0.
+    #[test]
+    #[ignore = "exhaustive 2^32 scan; run on demand in release"]
+    fn quantize_matches_oracle_on_every_bit_pattern() {
+        let sets = [
+            QuantParams::from_range(-1.0, 0.0, QuantRange::i8(), RoundMode::NearestEven),
+            QuantParams::from_range(-1.0, 1.0, QuantRange::i8(), RoundMode::NearestEven),
+            QuantParams::from_range(-0.1, 0.0, QuantRange::u8(), RoundMode::NearestEven),
+        ];
+        for p in sets {
+            let scan = |hi_bits: std::ops::Range<u32>| {
+                let (mut mismatches, mut wrapped) = (0u64, 0u64);
+                for hi in hi_bits {
+                    for lo in 0..=u16::MAX as u32 {
+                        let r = f32::from_bits(hi << 16 | lo);
+                        let expect = oracle(&p, r);
+                        mismatches += u64::from(p.quantize(r) != expect);
+                        // The pre-window formula: saturate to i32, then
+                        // add β (wrapping, as a release build did).
+                        let k = old_round(&p, r).clamp(i64::from(i32::MIN), i64::from(i32::MAX));
+                        let old = (k as i32)
+                            .wrapping_add(p.zero_point())
+                            .clamp(p.range().qmin(), p.range().qmax());
+                        wrapped += u64::from(old != expect);
+                    }
+                }
+                (mismatches, wrapped)
+            };
+            let (a, b) = std::thread::scope(|s| {
+                let first = s.spawn(|| scan(0..0x8000));
+                let second = scan(0x8000..0x1_0000);
+                let first = first.join().expect("scan thread");
+                (first.0 + second.0, first.1 + second.1)
+            });
+            println!(
+                "{p:?}: 2^32 inputs, {a} mismatches, {b} inputs wrong under the old i32 formula"
+            );
+            assert_eq!(a, 0, "{p:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "wider than 2^22 steps")]
+    fn custom_range_is_bounded_by_the_rounding_window() {
+        let _ = QuantRange::custom(0, i32::MAX);
     }
 
     #[test]

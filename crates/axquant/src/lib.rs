@@ -20,7 +20,9 @@
 //!   "expected range of the quantized values" the paper passes to its
 //!   approximate layer,
 //! - [`RoundMode`]: the "requested round mode for the rounding applied
-//!   during the quantization",
+//!   during the quantization" — exact and branch-free inside a `±2²²`
+//!   window ([`round::ROUND_WINDOW`]), which every quantized range fits
+//!   in, so quantizing a slice vectorizes and never overflows,
 //! - [`RangeTracker`]: the min/max observers inserted into the graph
 //!   (Fig. 1) and evaluated once per batch.
 //!

@@ -71,51 +71,6 @@ pub fn im2col(
     })
 }
 
-/// The panel-major patch matrix produced by [`im2col_panels`]: the
-/// transpose of [`PatchMatrix`].
-///
-/// Row `k` of `panels` holds tap `k` of **every** patch contiguously
-/// (`rows = kh·kw·c_in`, `cols = n·out_h·out_w`). This is the operand
-/// layout of a cache-blocked GEMM microkernel that holds one filter tap —
-/// and therefore one look-up-table row — fixed while streaming across
-/// output positions; the row-major [`PatchMatrix`] would make that inner
-/// loop stride by the patch length instead.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PatchPanels {
-    /// `patch_len × rows` tap-major matrix (`panels.row(k)[r]` is tap `k`
-    /// of patch `r`).
-    pub panels: Matrix<f32>,
-    /// Shape of the convolution output these panels produce.
-    pub out_shape: Shape4,
-}
-
-/// [`im2col`] in panel-major (tap-major) layout — the transpose of the
-/// row-major patch matrix, produced with a cache-blocked transposition.
-///
-/// This is the reference form of the layout; note that the production
-/// host LUT-GEMM (`tfapprox::kernel`) deliberately does **not**
-/// materialize it — a measured transpose of one ResNet-stage-1 chunk
-/// costs about as much as the GEMM itself, so that kernel streams the
-/// row-major matrix through parallel register-tile row streams instead.
-/// Use this variant when an algorithm genuinely consumes tap-major
-/// panels (e.g. a kernel that amortizes the transpose across many passes
-/// over the same patches).
-///
-/// # Errors
-///
-/// Propagates the shape errors of [`ConvGeometry::output_shape`].
-pub fn im2col_panels(
-    input: &Tensor<f32>,
-    filter: FilterShape,
-    geom: ConvGeometry,
-) -> Result<PatchPanels, TensorError> {
-    let pm = im2col(input, filter, geom)?;
-    Ok(PatchPanels {
-        panels: pm.matrix.transposed(),
-        out_shape: pm.out_shape,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -184,25 +139,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(pm.matrix.as_slice(), &[0.0, 1.0, 2.0, 10.0, 11.0, 12.0]);
-    }
-
-    #[test]
-    fn panels_are_the_transposed_patches() {
-        let input = Tensor::from_fn(Shape4::new(2, 5, 4, 3), |n, h, w, c| {
-            (n * 1000 + h * 100 + w * 10 + c) as f32
-        });
-        let fs = FilterShape::new(3, 3, 3, 2);
-        let geom = ConvGeometry::default().with_stride(2);
-        let pm = im2col(&input, fs, geom).unwrap();
-        let pp = im2col_panels(&input, fs, geom).unwrap();
-        assert_eq!(pp.out_shape, pm.out_shape);
-        assert_eq!(pp.panels.rows(), pm.matrix.cols());
-        assert_eq!(pp.panels.cols(), pm.matrix.rows());
-        for r in 0..pm.matrix.rows() {
-            for k in 0..pm.matrix.cols() {
-                assert_eq!(pp.panels.at(k, r), pm.matrix.at(r, k), "({r}, {k})");
-            }
-        }
     }
 
     #[test]

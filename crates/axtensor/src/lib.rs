@@ -41,7 +41,7 @@ pub mod tensor;
 mod error;
 
 pub use error::TensorError;
-pub use im2col::{im2col, im2col_panels, PatchMatrix, PatchPanels};
+pub use im2col::{im2col, PatchMatrix};
 pub use ops::{Filter, Matrix};
 pub use segment::SegmentTable;
 pub use shape::{ConvGeometry, FilterShape, Padding, Shape4};

@@ -24,38 +24,6 @@ impl<T: Copy + Default> Matrix<T> {
             data: vec![T::default(); rows * cols],
         }
     }
-
-    /// The transposed matrix, built with a cache-blocked sweep so neither
-    /// the source rows nor the destination columns thrash: both sides of
-    /// each `32×32` block stay resident while it is copied.
-    ///
-    /// This is the panel-major conversion of the tiled LUT-GEMM path: a
-    /// row-major patch matrix (`rows = patches`, `cols = taps`) becomes a
-    /// tap-major panel matrix whose row `k` holds tap `k` of every patch
-    /// contiguously — the layout a microkernel streams while it holds one
-    /// look-up-table row fixed.
-    #[must_use]
-    pub fn transposed(&self) -> Matrix<T> {
-        const B: usize = 32;
-        let mut data = vec![T::default(); self.data.len()];
-        for rb in (0..self.rows).step_by(B) {
-            let r_end = (rb + B).min(self.rows);
-            for cb in (0..self.cols).step_by(B) {
-                let c_end = (cb + B).min(self.cols);
-                for r in rb..r_end {
-                    let src = &self.data[r * self.cols..(r + 1) * self.cols];
-                    for c in cb..c_end {
-                        data[c * self.rows + r] = src[c];
-                    }
-                }
-            }
-        }
-        Matrix {
-            rows: self.cols,
-            cols: self.rows,
-            data,
-        }
-    }
 }
 
 impl<T> Matrix<T> {
@@ -386,39 +354,6 @@ mod tests {
     use super::*;
     use crate::rng;
     use crate::{Padding, Shape4};
-
-    #[test]
-    fn transposed_swaps_indices() {
-        let m = Matrix::from_vec(2, 3, vec![1u8, 2, 3, 4, 5, 6]).unwrap();
-        let t = m.transposed();
-        assert_eq!(t.rows(), 3);
-        assert_eq!(t.cols(), 2);
-        for r in 0..2 {
-            for c in 0..3 {
-                assert_eq!(t.at(c, r), m.at(r, c));
-            }
-        }
-        assert_eq!(t.transposed(), m);
-    }
-
-    #[test]
-    fn transposed_covers_partial_blocks() {
-        // Dimensions straddling the 32-wide blocking so edge blocks run.
-        let m = Matrix::from_vec(33, 65, (0..33 * 65).map(|i| i as u32).collect()).unwrap();
-        let t = m.transposed();
-        for r in [0, 31, 32] {
-            for c in [0, 31, 32, 63, 64] {
-                assert_eq!(t.at(c, r), m.at(r, c), "({r}, {c})");
-            }
-        }
-    }
-
-    #[test]
-    fn transposed_empty_matrix() {
-        let m = Matrix::<f32>::zeros(0, 5);
-        let t = m.transposed();
-        assert_eq!((t.rows(), t.cols()), (5, 0));
-    }
 
     #[test]
     fn matmul_identity() {

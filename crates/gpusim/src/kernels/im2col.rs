@@ -44,11 +44,208 @@ pub struct QuantPatches {
     pub out_shape: Shape4,
 }
 
-/// Run the quantizing im2col over one input chunk.
+/// The shape algebra of one quantizing im2col: which input pixels each
+/// row of the patch matrix reads. Rows run image by image, then output
+/// row, then output column — `n · out_h · out_w` of them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PatchGeometry {
+    input: Shape4,
+    filter: FilterShape,
+    geom: ConvGeometry,
+    out: Shape4,
+    pad: (usize, usize),
+}
+
+impl PatchGeometry {
+    /// The geometry of `filter` under `geom` sliding over `input`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates shape errors from [`ConvGeometry::output_shape`].
+    pub fn new(
+        input: Shape4,
+        filter: FilterShape,
+        geom: ConvGeometry,
+    ) -> Result<Self, TensorError> {
+        let out = geom.output_shape(input, filter)?;
+        Ok(PatchGeometry {
+            input,
+            filter,
+            geom,
+            out,
+            pad: geom.pad_before(input, filter),
+        })
+    }
+
+    /// Shape of the convolution output these patches produce.
+    #[must_use]
+    pub fn out_shape(&self) -> Shape4 {
+        self.out
+    }
+
+    /// Patch rows per image (`out_h · out_w`).
+    #[must_use]
+    pub fn rows_per_image(&self) -> usize {
+        self.out.h * self.out.w
+    }
+
+    /// Patch length (`kh · kw · c_in`), the column count of the matrix.
+    #[must_use]
+    pub fn cols(&self) -> usize {
+        self.filter.patch_len()
+    }
+}
+
+/// Elements [`quantize_pixels`] quantizes per block: small enough for its
+/// `i32` values to stay in L1 between the passes over them.
+const QUANT_BLOCK: usize = 2048;
+
+/// Quantize a run of whole NHWC pixels once: `bytes[i]` receives the
+/// 8-bit pattern of `src[i]` under `q` (two's complement for signed
+/// ranges), and `sums[p]` the sum of the logical values of pixel `p`'s
+/// `channels` elements — the channel run [`gather_patches`] copies into
+/// a patch and folds into its `Sp`.
+///
+/// Works through blocks of whole pixels, quantizing each block with the
+/// vectorized [`QuantParams::quantize_into`] before packing the bytes and
+/// sums.
+///
+/// # Panics
+///
+/// Panics unless `bytes` matches `src` in length and `sums` holds one
+/// slot per pixel.
+pub fn quantize_pixels(
+    src: &[f32],
+    channels: usize,
+    q: QuantParams,
+    bytes: &mut [u8],
+    sums: &mut [i64],
+) {
+    assert_eq!(src.len(), bytes.len(), "one byte per element");
+    assert_eq!(src.len(), sums.len() * channels, "one sum per pixel");
+    if channels == 0 {
+        sums.fill(0);
+        return;
+    }
+    let block = (QUANT_BLOCK / channels).max(1) * channels;
+    let mut values = vec![0i32; block.min(src.len())];
+    for ((src, bytes), sums) in src
+        .chunks(block)
+        .zip(bytes.chunks_mut(block))
+        .zip(sums.chunks_mut(block / channels))
+    {
+        let values = &mut values[..src.len()];
+        q.quantize_into(src, values);
+        for (byte, &v) in bytes.iter_mut().zip(values.iter()) {
+            *byte = v as u8;
+        }
+        for (sum, pixel) in sums.iter_mut().zip(values.chunks_exact(channels)) {
+            *sum = pixel.iter().map(|&v| i64::from(v)).sum();
+        }
+    }
+}
+
+/// Gather patch rows `first_row .. first_row + sums.len()` of `geometry`
+/// from pixels already quantized by [`quantize_pixels`] (`qbytes` and
+/// `pixel_sums` cover the whole input of `geometry`): `rows` receives the
+/// rows' bytes and `sums` their `Sp` sums. Out-of-bounds taps read real
+/// 0, i.e. the zero-point `zero_q`.
+///
+/// Each row depends only on its own input pixels, so gathering any
+/// partition of the rows — in any order, on any thread — assembles the
+/// same matrix. Returns the number of in-bounds element reads.
+///
+/// # Panics
+///
+/// Panics unless `rows` holds `sums.len()` whole rows inside the matrix.
+pub fn gather_patches(
+    geometry: &PatchGeometry,
+    qbytes: &[u8],
+    pixel_sums: &[i64],
+    zero_q: i32,
+    first_row: usize,
+    rows: &mut [u8],
+    sums: &mut [i64],
+) -> u64 {
+    let PatchGeometry {
+        input: shape,
+        filter,
+        geom,
+        out,
+        pad: (pad_h, pad_w),
+    } = *geometry;
+    let cols = geometry.cols();
+    let c = shape.c;
+    assert_eq!(rows.len(), sums.len() * cols, "whole rows");
+    assert!(
+        first_row + sums.len() <= out.n * geometry.rows_per_image(),
+        "rows past the patch matrix"
+    );
+    if cols == 0 {
+        sums.fill(0);
+        return 0;
+    }
+    let zero_byte = zero_q as u8;
+    let zero_run = i64::from(zero_q) * c as i64;
+    let mut in_bounds_reads = 0u64;
+    let run_len = filter.w * c;
+    for (i, (row, sum_slot)) in rows.chunks_exact_mut(cols).zip(sums).enumerate() {
+        let r = first_row + i;
+        let (ox, oy, n) = (r % out.w, (r / out.w) % out.h, r / (out.w * out.h));
+        let ix0 = (ox * geom.stride.1) as isize - pad_w as isize;
+        // A patch row that lies wholly inside the input reads `filter.w`
+        // consecutive pixels (undilated) — one copy per kernel row.
+        let inner = geom.dilation.1 == 1 && ix0 >= 0 && ix0 as usize + filter.w <= shape.w;
+        let mut sum = 0i64;
+        for (ky, run) in row.chunks_exact_mut(run_len).enumerate() {
+            let iy = (oy * geom.stride.0 + ky * geom.dilation.0) as isize - pad_h as isize;
+            if iy < 0 || iy as usize >= shape.h {
+                run.fill(zero_byte);
+                sum += zero_run * filter.w as i64;
+                continue;
+            }
+            // NHWC: the channel run of one (n, y, x) pixel is contiguous —
+            // copy its pre-quantized bytes and fold its precomputed run
+            // sum (the real kernel's coalesced read).
+            let line = (n * shape.h + iy as usize) * shape.w;
+            if inner {
+                let first = line + ix0 as usize;
+                in_bounds_reads += run_len as u64;
+                run.copy_from_slice(&qbytes[first * c..(first + filter.w) * c]);
+                sum += pixel_sums[first..first + filter.w].iter().sum::<i64>();
+                continue;
+            }
+            for (kx, tap) in run.chunks_exact_mut(c).enumerate() {
+                let ix = ix0 + (kx * geom.dilation.1) as isize;
+                if ix >= 0 && (ix as usize) < shape.w {
+                    let pixel = line + ix as usize;
+                    in_bounds_reads += c as u64;
+                    tap.copy_from_slice(&qbytes[pixel * c..(pixel + 1) * c]);
+                    sum += pixel_sums[pixel];
+                } else {
+                    tap.fill(zero_byte);
+                    sum += zero_run;
+                }
+            }
+        }
+        *sum_slot = sum;
+    }
+    in_bounds_reads
+}
+
+/// Run the quantizing im2col over one input chunk: [`quantize_pixels`]
+/// over the whole chunk, then [`gather_patches`] over every row.
 ///
 /// Out-of-bounds taps quantize real 0, which the affine scheme represents
 /// exactly as the zero-point — so padding contributes `β₁` to `Sp` and is
 /// cancelled exactly by the Eq. 4 correction.
+///
+/// Each input element is quantized exactly once, although overlapping
+/// patches re-read the same pixel up to `filter.h × filter.w` times;
+/// copying the precomputed byte (plus folding the per-pixel channel-run
+/// sum, an exact i64 regrouping) is bit-identical to quantizing in place.
+/// The modeled GPU event counts stay on the per-element-read accounting
+/// of the real kernel.
 ///
 /// # Errors
 ///
@@ -60,84 +257,31 @@ pub fn im2col_quant(
     input_q: QuantParams,
     strategy: PatchSumStrategy,
 ) -> Result<KernelRun<QuantPatches>, TensorError> {
-    let out = geom.output_shape(chunk.shape(), filter)?;
-    let (pad_h, pad_w) = geom.pad_before(chunk.shape(), filter);
-    let rows = out.n * out.h * out.w;
-    let cols = filter.patch_len();
+    let geometry = PatchGeometry::new(chunk.shape(), filter, geom)?;
     let shape = chunk.shape();
-    let zero_q = input_q.quantize(0.0);
+    let rows = shape.n * geometry.rows_per_image();
+    let cols = geometry.cols();
 
-    let mut data = vec![0u8; rows * cols];
-    let mut sums = vec![0i64; rows];
-    let mut in_bounds_reads = 0u64;
-
-    // Quantize every input element exactly once up front. Overlapping
-    // patches re-read the same pixel up to `filter.h × filter.w` times;
-    // replaying the divide/round/clamp chain per read is pure waste on the
-    // host, and copying the precomputed byte (plus folding the precomputed
-    // per-pixel channel-run sum, an exact i64 regrouping) is bit-identical
-    // to quantizing in place. The modeled GPU event counts below stay on
-    // the per-element-read accounting of the real kernel.
     let mut qbytes = vec![0u8; chunk.as_slice().len()];
     let mut pixel_sums = vec![0i64; shape.n * shape.h * shape.w];
-    if shape.c > 0 {
-        for (pixel, (src, sum_slot)) in chunk
-            .as_slice()
-            .chunks_exact(shape.c)
-            .zip(qbytes.chunks_exact_mut(shape.c).zip(&mut pixel_sums))
-        {
-            let mut s = 0i64;
-            for (&v, slot) in pixel.iter().zip(src) {
-                let q = input_q.quantize(v);
-                *slot = (q & 0xFF) as u8;
-                s += i64::from(q);
-            }
-            *sum_slot = s;
-        }
-    }
-
-    let mut row = 0usize;
-    for n in 0..out.n {
-        for oy in 0..out.h {
-            for ox in 0..out.w {
-                let base = row * cols;
-                let mut col = 0usize;
-                let mut sum = 0i64;
-                for ky in 0..filter.h {
-                    let iy = (oy * geom.stride.0 + ky * geom.dilation.0) as isize - pad_h as isize;
-                    for kx in 0..filter.w {
-                        let ix =
-                            (ox * geom.stride.1 + kx * geom.dilation.1) as isize - pad_w as isize;
-                        let inside = iy >= 0
-                            && (iy as usize) < shape.h
-                            && ix >= 0
-                            && (ix as usize) < shape.w;
-                        if inside {
-                            in_bounds_reads += shape.c as u64;
-                            // NHWC: the channel run of one (n, y, x) pixel
-                            // is contiguous — copy its pre-quantized bytes
-                            // and fold its precomputed run sum (the real
-                            // kernel's coalesced read).
-                            let pixel = (n * shape.h + iy as usize) * shape.w + ix as usize;
-                            let src = pixel * shape.c;
-                            data[base + col..base + col + shape.c]
-                                .copy_from_slice(&qbytes[src..src + shape.c]);
-                            sum += pixel_sums[pixel];
-                            col += shape.c;
-                        } else {
-                            for slot in &mut data[base + col..base + col + shape.c] {
-                                *slot = (zero_q & 0xFF) as u8;
-                            }
-                            sum += i64::from(zero_q) * shape.c as i64;
-                            col += shape.c;
-                        }
-                    }
-                }
-                sums[row] = sum;
-                row += 1;
-            }
-        }
-    }
+    quantize_pixels(
+        chunk.as_slice(),
+        shape.c,
+        input_q,
+        &mut qbytes,
+        &mut pixel_sums,
+    );
+    let mut data = vec![0u8; rows * cols];
+    let mut sums = vec![0i64; rows];
+    let in_bounds_reads = gather_patches(
+        &geometry,
+        &qbytes,
+        &pixel_sums,
+        input_q.quantize(0.0),
+        0,
+        &mut data,
+        &mut sums,
+    );
 
     let elements = (rows * cols) as u64;
     // Quantization work: one divide/round/clamp chain per element.
@@ -176,7 +320,7 @@ pub fn im2col_quant(
         output: QuantPatches {
             matrix: Matrix::from_vec(rows, cols, data).expect("sized above"),
             patch_sums: sums,
-            out_shape: Shape4::new(out.n, out.h, out.w, filter.c_out),
+            out_shape: geometry.out_shape(),
         },
         events: vec![(Phase::Quantization, quant_ev), (Phase::Other, move_ev)],
     })
@@ -208,6 +352,47 @@ mod tests {
         for (i, &v) in t.as_slice().iter().enumerate() {
             let expect = (q.quantize(v) & 0xFF) as u8;
             assert_eq!(run.output.matrix.as_slice()[i], expect);
+        }
+    }
+
+    #[test]
+    fn matches_quantized_f32_im2col_across_geometries() {
+        // The f32 reference im2col pads with real 0, which quantizes to
+        // the zero-point: quantizing its matrix element by element must
+        // give the same bytes and row sums, on interior and border rows.
+        let geoms = [
+            ConvGeometry::default(),
+            ConvGeometry::default().with_stride(2),
+            ConvGeometry::default().with_padding(Padding::Valid),
+            ConvGeometry::default()
+                .with_dilation(2)
+                .with_padding(Padding::Valid),
+            ConvGeometry::default().with_dilation(2),
+        ];
+        for c in [1, 3, 64] {
+            let t = rng::uniform(Shape4::new(2, 7, 6, c), c as u64, -1.0, 2.0);
+            let q = qparams(-1.0, 2.0);
+            for geom in geoms {
+                for filter in [FilterShape::new(3, 3, c, 2), FilterShape::new(1, 2, c, 2)] {
+                    let run =
+                        im2col_quant(&t, filter, geom, q, PatchSumStrategy::PrefixScan).unwrap();
+                    let reference = axtensor::im2col(&t, filter, geom).unwrap().matrix;
+                    let bytes: Vec<u8> = reference
+                        .as_slice()
+                        .iter()
+                        .map(|&v| q.quantize(v) as u8)
+                        .collect();
+                    assert_eq!(run.output.matrix.as_slice(), &bytes[..], "{geom:?} c={c}");
+                    for (r, &sum) in run.output.patch_sums.iter().enumerate() {
+                        let want: i64 = reference
+                            .row(r)
+                            .iter()
+                            .map(|&v| i64::from(q.quantize(v)))
+                            .sum();
+                        assert_eq!(sum, want, "row {r}, {geom:?} c={c}");
+                    }
+                }
+            }
         }
     }
 

@@ -507,6 +507,24 @@ mod tests {
     }
 
     #[test]
+    fn data_beyond_a_narrow_caller_range_clamps_on_every_backend() {
+        // With range [-1, 0] the zero-point is qmax = 127, so 1e9 must
+        // clamp to 127 exactly like 0.0 does. Before the quantizer's
+        // rounding window, `round(1e9 / α) + 127` wrapped to −128 in
+        // release and panicked in debug.
+        for backend in [Backend::CpuDirect, Backend::CpuGemm, Backend::GpuSim] {
+            let (layer, input) = make(backend, MulLut::exact(Signedness::Signed));
+            let mut huge = input.clone();
+            let mut zero = input.clone();
+            huge.as_mut_slice()[40] = 1e9;
+            zero.as_mut_slice()[40] = 0.0;
+            let out = layer.convolve_with_range(&huge, -1.0, 0.0).unwrap();
+            let expect = layer.convolve_with_range(&zero, -1.0, 0.0).unwrap();
+            assert_eq!(out, expect, "{backend:?}");
+        }
+    }
+
+    #[test]
     fn non_finite_filter_weights_are_rejected() {
         let mut weights = vec![0.1f32; 3 * 3 * 3 * 4];
         weights[5] = f32::NAN;

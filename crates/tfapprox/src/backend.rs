@@ -6,9 +6,9 @@
 //!
 //! - [`run_cpu_direct_prepared`]: nested loops (ALWANN \[12\]), `i64`
 //!   accumulation, no intermediate patch matrix;
-//! - [`run_cpu_gemm_prepared`]: Algorithm 1 on host threads — chunked
-//!   quantizing im2col, one segmented LUT GEMM per chunk on the context's
-//!   persistent worker pool, Eq. 4 correction;
+//! - [`run_cpu_gemm_prepared`]: Algorithm 1 on host threads — the
+//!   quantizing im2col and one segmented LUT GEMM per chunk, both on the
+//!   context's persistent worker pool, Eq. 4 correction;
 //! - [`run_gpusim_prepared`]: Algorithm 1 on the simulated device — the
 //!   paper's kernels with texture-cache LUT fetches and analytic cycle
 //!   accounting.
@@ -22,15 +22,19 @@
 
 use crate::accumulator::Accumulator;
 use crate::kernel;
+use crate::pool::WorkerPool;
 use crate::prepared::PreparedFilter;
 use crate::{EmuContext, EmuError};
 use axmult::MulLut;
 use axquant::QuantParams;
-use axtensor::{ops::Filter, ConvGeometry, Matrix, SegmentTable, Shape4, Tensor};
+use axtensor::{ops::Filter, ConvGeometry, FilterShape, Matrix, SegmentTable, Shape4, Tensor};
 use gpusim::kernels::gemm::approx_gemm_prepared;
-use gpusim::kernels::im2col::{im2col_quant, PatchSumStrategy};
+use gpusim::kernels::im2col::{
+    gather_patches, im2col_quant, quantize_pixels, PatchGeometry, PatchSumStrategy,
+};
 use gpusim::kernels::minmax::reduction_events;
 use gpusim::{Phase, PhaseProfile};
+use std::ops::Range;
 use std::time::Instant;
 
 /// The layer-invariant half of one approximate convolution: everything a
@@ -198,24 +202,144 @@ pub fn run_cpu_direct_prepared(
     Ok((apply_bias(out, spec.bias), profile))
 }
 
+/// Call `piece(segment, lo, hi)` for every non-empty intersection
+/// `lo..hi` of `range` with a segment of `table`, in order.
+fn for_each_piece(
+    table: &SegmentTable,
+    range: Range<usize>,
+    mut piece: impl FnMut(usize, usize, usize),
+) {
+    for (s, (a, b)) in table.iter().enumerate() {
+        let (lo, hi) = (a.max(range.start), b.min(range.end));
+        if lo < hi {
+            piece(s, lo, hi);
+        }
+    }
+}
+
+/// Run `work(first, bytes, sums)` on the pool over contiguous per-thread
+/// spans of items — the GEMM's row partition — where item `i` owns
+/// `bytes[i * width..(i + 1) * width]` and `sums[i]`, and `first` is the
+/// span's first item.
+fn on_spans(
+    pool: &WorkerPool,
+    width: usize,
+    bytes: &mut [u8],
+    sums: &mut [i64],
+    work: impl Fn(usize, &mut [u8], &mut [i64]) + Sync,
+) {
+    let span = sums.len().div_ceil(pool.threads()).max(1);
+    let work = &work;
+    let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = bytes
+        .chunks_mut((span * width).max(1))
+        .zip(sums.chunks_mut(span))
+        .enumerate()
+        .map(|(t, (bytes, sums))| {
+            let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || work(t * span, bytes, sums));
+            job
+        })
+        .collect();
+    pool.run(jobs);
+}
+
+/// Phase (i) of Algorithm 1 for a whole fused batch, run on the worker
+/// pool: every input pixel is quantized once under its segment's
+/// parameters, and each chunk's patch rows are then gathered from those
+/// bytes. Both passes split their work into the pool's contiguous spans
+/// and cut each span at segment boundaries. Every byte and sum depends
+/// only on its own pixel or row, so the result is the serial
+/// [`im2col_quant`] of each segment's images, for any thread count and
+/// segment layout.
+struct QuantizedInput<'a> {
+    geometry: PatchGeometry,
+    segments: &'a SegmentTable,
+    zero_q: Vec<i32>,
+    bytes: Vec<u8>,
+    pixel_sums: Vec<i64>,
+}
+
+impl<'a> QuantizedInput<'a> {
+    /// Quantize `input`, whose images `segments` partitions and whose
+    /// segment `s` quantizes under `seg_q[s]`.
+    fn new(
+        input: &Tensor<f32>,
+        filter: FilterShape,
+        geom: ConvGeometry,
+        segments: &'a SegmentTable,
+        seg_q: &[QuantParams],
+        pool: &WorkerPool,
+    ) -> Result<Self, EmuError> {
+        let shape = input.shape();
+        let geometry = PatchGeometry::new(shape, filter, geom)?;
+        let c = shape.c;
+        let pixel_segments = segments.scaled(shape.h * shape.w);
+        let src = input.as_slice();
+        let mut bytes = vec![0u8; src.len()];
+        let mut pixel_sums = vec![0i64; pixel_segments.total()];
+        on_spans(pool, c, &mut bytes, &mut pixel_sums, |p0, bytes, sums| {
+            for_each_piece(&pixel_segments, p0..p0 + sums.len(), |s, lo, hi| {
+                quantize_pixels(
+                    &src[lo * c..hi * c],
+                    c,
+                    seg_q[s],
+                    &mut bytes[(lo - p0) * c..(hi - p0) * c],
+                    &mut sums[lo - p0..hi - p0],
+                );
+            });
+        });
+        Ok(QuantizedInput {
+            geometry,
+            segments,
+            zero_q: seg_q.iter().map(|q| q.quantize(0.0)).collect(),
+            bytes,
+            pixel_sums,
+        })
+    }
+
+    /// The patch matrix and `Sp` sums of `images`, gathered on the pool.
+    fn patches(&self, images: Range<usize>, pool: &WorkerPool) -> (Matrix<u8>, Vec<i64>) {
+        let per_image = self.geometry.rows_per_image();
+        let k = self.geometry.cols();
+        let first = images.start * per_image;
+        let rows = images.len() * per_image;
+        let mut data = vec![0u8; rows * k];
+        let mut sums = vec![0i64; rows];
+        let row_segments = self.segments.scaled(per_image);
+        on_spans(pool, k, &mut data, &mut sums, |r, data, sums| {
+            let r0 = first + r;
+            for_each_piece(&row_segments, r0..r0 + sums.len(), |s, lo, hi| {
+                gather_patches(
+                    &self.geometry,
+                    &self.bytes,
+                    &self.pixel_sums,
+                    self.zero_q[s],
+                    lo,
+                    &mut data[(lo - r0) * k..(hi - r0) * k],
+                    &mut sums[lo - r0..hi - r0],
+                );
+            });
+        });
+        (Matrix::from_vec(rows, k, data).expect("sized above"), sums)
+    }
+}
+
 /// Optimized host-side Algorithm 1 over a (possibly fused multi-request)
-/// batch: chunked quantizing im2col, one tiled LUT GEMM per chunk on the
-/// context's persistent worker pool and kernel arm, Eq. 4 correction.
-/// Chunk size, tiles and pool come from `ctx`; the filter bytes, `Sf`
-/// sums and per-channel parameters come from `plan`, which must have been
-/// built from `spec.filter`.
+/// batch: quantizing im2col and one tiled LUT GEMM per chunk, both on the
+/// context's persistent worker pool, the GEMM on the context's kernel
+/// arm, Eq. 4 correction. Chunk size, tiles and pool come from `ctx`; the
+/// filter bytes, `Sf` sums and per-channel parameters come from `plan`,
+/// which must have been built from `spec.filter`.
 ///
 /// `segments` partitions the batch axis into request spans and `seg_q`
 /// gives each span its own input quantization (from its own observers); a
-/// solo call passes [`SegmentTable::single`] and one parameter set. Each
-/// chunk is intersected with the segment spans, every resulting piece is
-/// im2col-quantized under its segment's params, and the pieces run as
-/// **one** GEMM whose epilogue picks the owning segment's Eq. 4 constants
-/// per row. Since every output row depends only on its own patch bytes,
-/// its segment's params, and the fixed ascending-`k` fold order, the
-/// result is bit-identical to running each request alone and
-/// concatenating, for any chunk size, tile shape, thread count, and
-/// accumulator model.
+/// solo call passes [`SegmentTable::single`] and one parameter set. Every
+/// input pixel is quantized once under its segment's params; each chunk's
+/// patch rows are gathered into one matrix, and the chunk runs as **one**
+/// GEMM whose epilogue picks the owning segment's Eq. 4 constants per
+/// row. Since every output row depends only on its own patch bytes, its
+/// segment's params, and the fixed ascending-`k` fold order, the result
+/// is bit-identical to running each request alone and concatenating, for
+/// any chunk size, tile shape, thread count, and accumulator model.
 ///
 /// A zero-batch input returns a correctly-shaped empty output.
 ///
@@ -249,65 +373,29 @@ pub fn run_cpu_gemm_prepared(
         return Ok((apply_bias(Tensor::zeros(out_shape), spec.bias), profile));
     }
 
+    let t0 = Instant::now();
+    let quantized = QuantizedInput::new(input, fs, spec.geometry, segments, seg_q, ctx.pool())?;
+    profile.add(Phase::Other, t0.elapsed().as_secs_f64());
+
     let chunk_size = ctx.chunk_size();
-    let k = fs.patch_len();
+    let rows_per_image = out_shape.h * out_shape.w;
     let mut parts: Vec<Tensor<f32>> = Vec::with_capacity(n.div_ceil(chunk_size));
     let mut start = 0usize;
     while start < n {
         let count = chunk_size.min(n - start);
 
-        // Intersect the chunk with the request spans and im2col-quantize
-        // each piece under its own segment's params.
         let t1 = Instant::now();
-        let mut pieces = Vec::new();
-        for (s, (seg_start, seg_end)) in segments.iter().enumerate() {
-            let lo = seg_start.max(start);
-            let hi = seg_end.min(start + count);
-            if lo < hi {
-                let piece = input.batch_slice(lo, hi - lo);
-                let patches = im2col_quant(
-                    &piece,
-                    fs,
-                    spec.geometry,
-                    seg_q[s],
-                    PatchSumStrategy::PrefixScan,
-                )?
-                .output;
-                pieces.push((patches, seg_q[s]));
-            }
-        }
-        // A chunk inside one segment (every chunk of a solo call) feeds
-        // its patches to the GEMM as they are; only a chunk that spans
-        // several segments is stacked into one matrix.
-        let (matrix, sums, piece_q, row_table) = if pieces.len() == 1 {
-            let (patches, q) = pieces.pop().expect("one piece");
-            let rows = patches.matrix.rows();
-            (
-                patches.matrix,
-                patches.patch_sums,
-                vec![q],
-                SegmentTable::single(rows),
-            )
-        } else {
-            let mut bytes: Vec<u8> = Vec::new();
-            let mut sums: Vec<i64> = Vec::new();
-            let mut piece_q = Vec::with_capacity(pieces.len());
-            let mut piece_rows = Vec::with_capacity(pieces.len());
-            for (patches, q) in pieces {
-                bytes.extend_from_slice(patches.matrix.as_slice());
-                sums.extend_from_slice(&patches.patch_sums);
-                piece_q.push(q);
-                piece_rows.push(patches.matrix.rows());
-            }
-            let matrix = Matrix::from_vec(sums.len(), k, bytes)?;
-            (
-                matrix,
-                sums,
-                piece_q,
-                SegmentTable::from_counts(&piece_rows),
-            )
-        };
+        let (matrix, sums) = quantized.patches(start..start + count, ctx.pool());
         profile.add(Phase::Other, t1.elapsed().as_secs_f64());
+
+        // The chunk's pieces — its intersections with the request spans —
+        // each dequantize under their own segment's params.
+        let mut piece_q = Vec::new();
+        let mut piece_rows = Vec::new();
+        for_each_piece(segments, start..start + count, |s, lo, hi| {
+            piece_q.push(seg_q[s]);
+            piece_rows.push((hi - lo) * rows_per_image);
+        });
 
         // One blocked LUT GEMM for the whole chunk, on the context's
         // kernel arm (bit-identical whichever arm runs).
@@ -318,7 +406,7 @@ pub fn run_cpu_gemm_prepared(
             &sums,
             plan,
             &piece_q,
-            &row_table,
+            &SegmentTable::from_counts(&piece_rows),
             spec.lut,
             spec.accumulator,
             ctx.tile_config(),
@@ -591,6 +679,84 @@ mod tests {
                     .collect();
                 let chained = Tensor::concat_batch(&parts).unwrap();
                 assert_eq!(fused, chained, "{accumulator:?} chunk {chunk}");
+            }
+        }
+    }
+
+    #[test]
+    fn pooled_im2col_is_serial_im2col_per_segment() {
+        // The pooled passes split pixel and row spans mid-image and
+        // mid-segment; every chunk's matrix must still be the serial
+        // kernel's output on each of its segment pieces, stacked.
+        let cases = [
+            (1, FilterShape::new(3, 3, 1, 2), ConvGeometry::default()),
+            (
+                3,
+                FilterShape::new(3, 3, 3, 2),
+                ConvGeometry::default().with_stride(2),
+            ),
+            (
+                64,
+                FilterShape::new(3, 3, 64, 2),
+                ConvGeometry::default().with_padding(Padding::Valid),
+            ),
+            (
+                3,
+                FilterShape::new(3, 3, 3, 2),
+                ConvGeometry::default()
+                    .with_dilation(2)
+                    .with_padding(Padding::Valid),
+            ),
+        ];
+        let layouts: [&[usize]; 5] = [&[5], &[2, 0, 3], &[1, 1, 1, 1, 1], &[0, 5, 0], &[4, 1]];
+        for (case, &(c_in, fs, geom)) in cases.iter().enumerate() {
+            let input = rng::uniform(Shape4::new(5, 6, 7, c_in), 60 + case as u64, -1.0, 1.0);
+            for counts in layouts {
+                let segments = SegmentTable::from_counts(counts);
+                let seg_q: Vec<QuantParams> = (0..segments.len())
+                    .map(|s| {
+                        let hi = 0.5 + s as f32 * 0.3;
+                        let range = if s % 2 == 0 {
+                            QuantRange::i8()
+                        } else {
+                            QuantRange::u8()
+                        };
+                        QuantParams::from_range(-hi, hi, range, RoundMode::NearestEven)
+                    })
+                    .collect();
+                for threads in 1..=4 {
+                    let pool = WorkerPool::new(threads);
+                    let quantized =
+                        QuantizedInput::new(&input, fs, geom, &segments, &seg_q, &pool).unwrap();
+                    for chunk in [1, 2, 5] {
+                        for start in (0..5).step_by(chunk) {
+                            let end = (start + chunk).min(5);
+                            let (matrix, sums) = quantized.patches(start..end, &pool);
+                            let mut want_bytes = Vec::new();
+                            let mut want_sums = Vec::new();
+                            for_each_piece(&segments, start..end, |s, lo, hi| {
+                                let serial = im2col_quant(
+                                    &input.batch_slice(lo, hi - lo),
+                                    fs,
+                                    geom,
+                                    seg_q[s],
+                                    PatchSumStrategy::PrefixScan,
+                                )
+                                .unwrap()
+                                .output;
+                                want_bytes.extend_from_slice(serial.matrix.as_slice());
+                                want_sums.extend_from_slice(&serial.patch_sums);
+                            });
+                            let at = format!(
+                                "c_in {c_in}, {geom:?}, segments {counts:?}, \
+                                 {threads} threads, images {start}..{end}"
+                            );
+                            assert_eq!(matrix.cols(), fs.patch_len(), "{at}");
+                            assert_eq!(matrix.as_slice(), &want_bytes[..], "{at}");
+                            assert_eq!(sums, want_sums, "{at}");
+                        }
+                    }
+                }
             }
         }
     }
